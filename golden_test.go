@@ -42,6 +42,19 @@ var goldenNA = map[string]int64{
 	"sharded-MQM/sum":         13568,
 	"iterator-k8/sum":         281,
 	"sharded-iter/sum":        432,
+	// Region-constrained and disk-resident cells: the region cells prune
+	// non-intersecting subtrees inside the traversal; GCP pairs the data
+	// index with an index over each query group; the F-MQM/F-MBM cells
+	// stream each group from a query file of 8-point blocks, so their
+	// cost adds the query pages read to the node accesses.
+	"MBM-BF/sum/region": 324,
+	"MBM-DF/sum/region": 338,
+	"SPM-BF/sum/region": 492,
+	"SPM-DF/sum/region": 504,
+	"GCP/sum":           12461,
+	"F-MQM/sum":         3318,
+	"F-MBM/sum":         1089,
+	"F-MBM-DF/sum":      1261,
 }
 
 // goldenFixture builds the fixed workload: clustered data and spatially
@@ -65,6 +78,23 @@ func goldenFixture(t *testing.T) (*gnn.Index, *gnn.ShardedIndex, [][]gnn.Point) 
 	return ix, sx, queries
 }
 
+// goldenRegion constrains the region cells to the lower-left 60% square
+// of the workspace, so some query groups sit outside it.
+var goldenRegion = gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{600, 600})
+
+// fromSet runs a disk-resident golden cell: the group becomes a query
+// file of 8-point blocks and the cost is node accesses plus page reads.
+func fromSet(ix *gnn.Index, algo gnn.DiskAlgorithm, opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
+	return func(qs []gnn.Point, _ gnn.Layout) (gnn.Cost, error) {
+		set, err := gnn.NewQuerySet(qs, gnn.QuerySetConfig{BlockPoints: 8})
+		if err != nil {
+			return gnn.Cost{}, err
+		}
+		_, c, err := ix.GroupNNFromSetWithCost(set, algo, append(opts, gnn.WithK(8))...)
+		return c, err
+	}
+}
+
 func TestGoldenNodeAccesses(t *testing.T) {
 	ix, sx, queries := goldenFixture(t)
 
@@ -72,6 +102,11 @@ func TestGoldenNodeAccesses(t *testing.T) {
 		name string
 		run  func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error)
 	}
+	// autoLayout cells run with the default layout only: the region and
+	// disk-resident paths pick their layout per algorithm.
+	autoLayout := map[string]bool{"MBM-BF/sum/region": true, "SPM-BF/sum/region": true,
+		"MBM-DF/sum/region": true, "SPM-DF/sum/region": true,
+		"GCP/sum": true, "F-MQM/sum": true, "F-MBM/sum": true, "F-MBM-DF/sum": true}
 	q := func(ix *gnn.Index, opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
 		return func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
 			_, c, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithK(8), gnn.WithLayout(layout))...)
@@ -116,6 +151,21 @@ func TestGoldenNodeAccesses(t *testing.T) {
 			}
 			return it.Cost(), nil
 		}},
+		{"MBM-BF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoMBM), goldenRegion)},
+		{"SPM-BF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoSPM), goldenRegion)},
+		{"MBM-DF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst(), goldenRegion)},
+		{"SPM-DF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst(), goldenRegion)},
+		{"GCP/sum", func(qs []gnn.Point, _ gnn.Layout) (gnn.Cost, error) {
+			qix, err := gnn.BuildIndex(qs, nil, gnn.IndexConfig{NodeCapacity: 16})
+			if err != nil {
+				return gnn.Cost{}, err
+			}
+			_, c, err := ix.GroupNNClosestPairsWithCost(qix, 0, gnn.WithK(8))
+			return c, err
+		}},
+		{"F-MQM/sum", fromSet(ix, gnn.DiskFMQM)},
+		{"F-MBM/sum", fromSet(ix, gnn.DiskFMBM)},
+		{"F-MBM-DF/sum", fromSet(ix, gnn.DiskFMBM, gnn.WithDepthFirst())},
 		{"sharded-iter/sum", func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
 			it, err := sx.GroupNNIterator(qs, gnn.WithLayout(layout))
 			if err != nil {
@@ -133,7 +183,11 @@ func TestGoldenNodeAccesses(t *testing.T) {
 
 	for _, c := range cells {
 		var perLayout [2]int64
-		for li, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked} {
+		layouts := []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}
+		if autoLayout[c.name] {
+			layouts = []gnn.Layout{gnn.LayoutAuto, gnn.LayoutAuto}
+		}
+		for li, layout := range layouts {
 			var total int64
 			for _, qs := range queries {
 				cost, err := c.run(qs, layout)
