@@ -44,7 +44,7 @@ func env() *experiments.Env {
 	return benchEnv
 }
 
-func benchTree(b *testing.B, ds string) *rtree.Tree {
+func benchTree(b *testing.B, ds string) *rtree.Packed {
 	b.Helper()
 	t, err := env().Tree(ds)
 	if err != nil {
@@ -67,7 +67,7 @@ func benchQueries(b *testing.B, n int, m float64) []workload.Query {
 
 type benchAlgo struct {
 	name string
-	run  func(*rtree.Tree, []geom.Point, core.Options) ([]core.GroupNeighbor, error)
+	run  func(*rtree.Packed, []geom.Point, core.Options) ([]core.GroupNeighbor, error)
 }
 
 func memBenchAlgos() []benchAlgo {
@@ -191,7 +191,7 @@ func benchDiskCell(b *testing.B, dataP, dataQ string, area float64, overlapMode 
 			if err != nil {
 				b.Fatal(err)
 			}
-			if _, err := core.GCP(tp, tq, core.GCPOptions{
+			if _, err := core.GCP(tp, tq.Pack(), core.GCPOptions{
 				Options: core.Options{K: 8}, PairBudget: e.Config().GCPPairBudget,
 			}); err != nil && err != core.ErrBudgetExceeded {
 				b.Fatal(err)
@@ -263,7 +263,7 @@ func BenchmarkFig57(b *testing.B) {
 
 // BenchmarkAblationH2Only: MBM with heuristic 2 only (§5.1 footnote 3).
 func BenchmarkAblationH2Only(b *testing.B) {
-	h2only := benchAlgo{"MBM-H2only", func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
+	h2only := benchAlgo{"MBM-H2only", func(t *rtree.Packed, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
 		opt.DisableHeuristic3 = true
 		return core.MBM(t, qs, opt)
 	}}
@@ -277,7 +277,7 @@ func BenchmarkAblationH2Only(b *testing.B) {
 // BenchmarkAblationCentroid: SPM centroid solvers.
 func BenchmarkAblationCentroid(b *testing.B) {
 	mk := func(name string, m core.CentroidMethod) benchAlgo {
-		return benchAlgo{name, func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
+		return benchAlgo{name, func(t *rtree.Packed, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
 			opt.Centroid = m
 			return core.SPM(t, qs, opt)
 		}}
@@ -314,7 +314,7 @@ func BenchmarkAblationBuffer(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, q := range queries {
-					if _, err := core.MQM(t, q.Points, core.Options{K: 8}); err != nil {
+					if _, err := core.MQM(t.Pack(), q.Points, core.Options{K: 8}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -364,12 +364,12 @@ func BenchmarkPointNN(b *testing.B) {
 	q := geom.Point{5000, 5000}
 	b.Run("BF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t.NearestBF(q, 8)
+			t.Reader(nil).NearestBF(q, 8)
 		}
 	})
 	b.Run("DF", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			t.NearestDF(q, 8)
+			t.Reader(nil).NearestDF(q, 8)
 		}
 	})
 }

@@ -17,14 +17,11 @@ import (
 // snapshotBench is the JSON schema of the -snapshot-out file
 // (BENCH_snapshot.json): cold-start serving from a persisted snapshot
 // versus re-bulk-loading the same index from raw points, with full
-// format/layout provenance so the numbers stay attributable across
-// revisions.
+// format provenance so the numbers stay attributable across revisions.
 type snapshotBench struct {
 	benchEnv
-	// FormatVersion and Layout record what exactly was persisted: the
-	// snapshot format version and the serving layout it deserialises to.
+	// FormatVersion records the snapshot format version persisted.
 	FormatVersion int             `json:"format_version"`
-	Layout        string          `json:"layout"`
 	Results       []snapshotPoint `json:"results"`
 }
 
@@ -39,7 +36,7 @@ type snapshotPoint struct {
 	WriteSeconds  float64 `json:"write_seconds"`
 	SnapshotBytes int64   `json:"snapshot_bytes"`
 	// LoadSeconds cold-starts from the snapshot file (read + decode +
-	// validate + rebuild dynamic nodes).
+	// validate + point view).
 	LoadSeconds float64 `json:"load_seconds"`
 	// SpeedupLoadVsBuild is BuildSeconds / LoadSeconds — the cold-start
 	// win persistence buys.
@@ -136,7 +133,6 @@ func runSnapshotBench(n int, seed int64, outPath string, withMmap bool) error {
 	snap := snapshotBench{
 		benchEnv:      newBenchEnv(d.Name, n, 1.0),
 		FormatVersion: snapshot.Version,
-		Layout:        gnn.LayoutPacked.String(),
 	}
 	fmt.Printf("# cold-start: snapshot load vs rebuild — %d uniform points, format v%d\n\n", n, snapshot.Version)
 	fmt.Printf("%-8s  %7s  %10s  %10s  %10s  %10s  %9s\n",

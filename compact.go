@@ -20,11 +20,6 @@ import (
 // intervening StopCompactor.
 var ErrCompactorRunning = errors.New("gnn: compactor already running")
 
-// ErrNotFrozen reports StartCompactor/Compact on a never-packed index:
-// its mutations go straight into the R*-tree, so there is no overlay to
-// compact. Call Pack once to freeze a base first.
-var ErrNotFrozen = errors.New("gnn: index has no packed base; call Pack first")
-
 // CompactorConfig tunes the background compactor.
 type CompactorConfig struct {
 	// Threshold is the overlay size (live overlay inserts + masked base
@@ -105,9 +100,8 @@ func (c *compactor) halt() {
 	<-c.done
 }
 
-// StartCompactor starts the background compactor. The index must have a
-// packed base (BuildIndex, OpenSnapshot*, or Pack on a NewIndex). A stale
-// temp file from a crashed previous rotation at cfg.Path is removed.
+// StartCompactor starts the background compactor. A stale temp file from
+// a crashed previous rotation at cfg.Path is removed.
 func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	cfg = cfg.withDefaults()
 	ix.mu.Lock()
@@ -117,9 +111,6 @@ func (ix *Index) StartCompactor(cfg CompactorConfig) error {
 	}
 	if ix.comp != nil {
 		return ErrCompactorRunning
-	}
-	if !ix.view.Load().frozen {
-		return ErrNotFrozen
 	}
 	ix.persist = cfg.Path
 	if cfg.Path != "" {
@@ -173,7 +164,7 @@ func (ix *Index) compactOnce() (err error) {
 	defer ix.compactMu.Unlock()
 
 	// Hold a lifecycle reference for the whole cycle so Close's drain
-	// waits for it: the rebuild walks the base tree, which on a mapped
+	// waits for it: the rebuild walks the base arena, which on a mapped
 	// index reads the mapping Close would unmap.
 	if err := ix.acquire(); err != nil {
 		return err
@@ -184,9 +175,6 @@ func (ix *Index) compactOnce() (err error) {
 	v := ix.view.Load()
 	path := ix.persist
 	ix.mu.Unlock()
-	if !v.frozen {
-		return ErrNotFrozen
-	}
 	if v.ov == nil {
 		return nil // nothing to fold
 	}
@@ -203,7 +191,7 @@ func (ix *Index) compactOnce() (err error) {
 
 	// Build the replacement base off the write lock: writers and readers
 	// proceed against the captured view while this runs.
-	pts, ids := materializeLive(v.tree, v.ov)
+	pts, ids := materializeLive(v.base, v.ov)
 	nt, err := rtree.BulkLoadSTR(ix.rcfg, pts, ids)
 	if err != nil {
 		return fmt.Errorf("gnn: compact: %w", err)
@@ -226,7 +214,7 @@ func (ix *Index) compactOnce() (err error) {
 	// state (tombstone multiplicities are recomputed against the new
 	// base).
 	tail := ix.log[v.seq:]
-	nv := &viewState{tree: nt, packed: np, frozen: true}
+	nv := &viewState{base: np}
 	for _, m := range tail {
 		if m.Del {
 			if nv2, ok := ix.applyDelete(nv, m.P, m.ID); ok {

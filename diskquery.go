@@ -131,6 +131,10 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	if c.aggregate != SumDist {
 		return nil, Cost{}, ErrUnsupportedAggregate
 	}
+	if err := ix.acquire(); err != nil {
+		return nil, Cost{}, err
+	}
+	defer ix.release()
 	if err := ix.prepare(); err != nil {
 		return nil, Cost{}, err
 	}
@@ -141,20 +145,16 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 	dopt := core.DiskOptions{Options: c.coreOptions()}
 	var tk pagestore.CostTracker
 	dopt.Cost = &tk
-	p, err := packedForLayout(v, c.layout, c.region)
-	if err != nil {
-		return nil, Cost{}, err
-	}
-	dopt.Packed = p
 	if algo == DiskAuto {
 		algo = qs.AutoAlgorithm()
 	}
 	var rep *core.DiskReport
+	var err error
 	switch algo {
 	case DiskFMQM:
-		rep, err = core.FMQM(v.tree, qs.qf, dopt)
+		rep, err = core.FMQM(v.base, qs.qf, dopt)
 	case DiskFMBM:
-		rep, err = core.FMBM(v.tree, qs.qf, dopt)
+		rep, err = core.FMBM(v.base, qs.qf, dopt)
 	default:
 		return nil, Cost{}, fmt.Errorf("gnn: unknown disk algorithm %v", algo)
 	}
@@ -165,7 +165,9 @@ func (ix *Index) GroupNNFromSetWithCost(qs *QuerySet, algo DiskAlgorithm, opts .
 }
 
 // GroupNNClosestPairs answers a GNN query whose query set is itself
-// indexed by an R*-tree, using the group closest pairs method (§4.1).
+// indexed by an R*-tree, using the group closest pairs method (§4.1): a
+// synchronised closest-pair traversal of both packed arenas, so built,
+// copy-loaded and mapped indexes serve it alike.
 // pairBudget caps the number of closest pairs consumed (0 = unlimited);
 // exceeding it returns ErrBudgetExceeded, mirroring the paper's
 // non-terminating GCP configurations.
@@ -181,22 +183,18 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	if c.aggregate != SumDist {
 		return nil, Cost{}, ErrUnsupportedAggregate
 	}
-	if c.layout == LayoutPacked {
-		// GCP is a synchronised pair traversal over two dynamic trees; it
-		// has no packed form, and LayoutPacked promises to fail rather
-		// than silently degrade.
-		return nil, Cost{}, fmt.Errorf("gnn: GCP traverses two dynamic trees: %w", ErrNotPacked)
+	for _, x := range []*Index{ix, queryIndex} {
+		if err := x.acquire(); err != nil {
+			return nil, Cost{}, err
+		}
+		defer x.release()
+		if err := x.prepare(); err != nil {
+			return nil, Cost{}, err
+		}
 	}
 	v, qv := ix.view.Load(), queryIndex.view.Load()
 	if v.ov != nil || qv.ov != nil {
 		return nil, Cost{}, ErrPendingMutations
-	}
-	if v.tree.IsShell() || qv.tree.IsShell() {
-		// Mapped indexes have no dynamic nodes for GCP to pair-traverse.
-		return nil, Cost{}, fmt.Errorf("gnn: GCP traverses two dynamic trees: %w", ErrMappedDynamic)
-	}
-	if err := ix.prepare(); err != nil {
-		return nil, Cost{}, err
 	}
 	gopt := core.GCPOptions{
 		Options:    c.coreOptions(),
@@ -204,7 +202,7 @@ func (ix *Index) GroupNNClosestPairsWithCost(queryIndex *Index, pairBudget int64
 	}
 	var tk pagestore.CostTracker
 	gopt.Cost = &tk
-	rep, err := core.GCP(v.tree, qv.tree, gopt)
+	rep, err := core.GCP(v.base, qv.base, gopt)
 	if err != nil {
 		return nil, Cost{}, err
 	}

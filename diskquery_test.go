@@ -2,6 +2,7 @@ package gnn_test
 
 import (
 	"math/rand"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -93,28 +94,37 @@ func TestDiskAutoThreshold(t *testing.T) {
 	}
 }
 
-// TestDiskLayoutEquivalence answers the same disk-resident query on both
-// index layouts and requires identical results and I/O costs.
+// TestDiskLayoutEquivalence answers the same disk-resident query on a
+// built index and on its snapshot opened mapped — the same arena layout
+// from two origins — and requires identical results and I/O costs.
 func TestDiskLayoutEquivalence(t *testing.T) {
 	ix, qpts := diskFixture(t, 2500, 500)
 	qs, err := gnn.NewQuerySet(qpts, gnn.QuerySetConfig{BlockPoints: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
+	mapped := openMappedCopy(t, ix, filepath.Join(t.TempDir(), "disk.snap"))
+	defer mapped.Close()
 	for _, algo := range []gnn.DiskAlgorithm{gnn.DiskFMQM, gnn.DiskFMBM} {
-		dyn, dcost, err := ix.GroupNNFromSetWithCost(qs, algo, gnn.WithK(4), gnn.WithLayout(gnn.LayoutDynamic))
-		if err != nil {
-			t.Fatal(err)
-		}
-		pkd, pcost, err := ix.GroupNNFromSetWithCost(qs, algo, gnn.WithK(4), gnn.WithLayout(gnn.LayoutPacked))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(dyn, pkd) {
-			t.Fatalf("%v: results diverged between layouts", algo)
-		}
-		if dcost != pcost {
-			t.Fatalf("%v: cost diverged: %+v vs %+v", algo, dcost, pcost)
+		for _, df := range []bool{false, true} {
+			opts := []gnn.QueryOption{gnn.WithK(4)}
+			if df {
+				opts = append(opts, gnn.WithDepthFirst())
+			}
+			built, bcost, err := ix.GroupNNFromSetWithCost(qs, algo, opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, mcost, err := mapped.GroupNNFromSetWithCost(qs, algo, opts...)
+			if err != nil {
+				t.Fatalf("%v on mapped index: %v", algo, err)
+			}
+			if !reflect.DeepEqual(built, got) {
+				t.Fatalf("%v df=%v: results diverged between built and mapped", algo, df)
+			}
+			if bcost != mcost {
+				t.Fatalf("%v df=%v: cost diverged: %+v vs %+v", algo, df, bcost, mcost)
+			}
 		}
 	}
 }

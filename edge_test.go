@@ -1,12 +1,10 @@
 // Edge-case tests for the query surface's corners: the DiskAuto
-// algorithm crossover, WithLayout pinning against indexes that have no
-// packed snapshot (or nothing at all), empty indexes, and query groups
-// larger than the data set.
+// algorithm crossover, empty indexes, and query groups larger than the
+// data set.
 package gnn_test
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -152,115 +150,6 @@ func TestQuerySetLargerThanDataset(t *testing.T) {
 		}
 		if len(res) != len(pts) {
 			t.Fatalf("%v with oversized group returned %d results", algo, len(res))
-		}
-	}
-}
-
-// TestLayoutPinningEdges locks the WithLayout contract at the corners:
-// a pinned packed layout must fail with ErrNotPacked on indexes without
-// a valid snapshot (incremental, or mutated since Pack) for every read
-// path, succeed on an empty-but-packed index, and recover after Pack.
-func TestLayoutPinningEdges(t *testing.T) {
-	rng := rand.New(rand.NewSource(34))
-	group := randGroup(rng, 4)
-
-	// Empty bulk-loaded index has a (trivially valid) snapshot: pinned
-	// packed queries answer cleanly with no results.
-	empty, err := gnn.BuildIndex(nil, nil, gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !empty.IsPacked() {
-		t.Fatal("bulk-loaded empty index reports no packed layout")
-	}
-	for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-		res, err := empty.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked))
-		if err != nil {
-			t.Fatalf("%v pinned-packed on empty index: %v", algo, err)
-		}
-		if len(res) != 0 {
-			t.Fatalf("%v on empty index returned %v", algo, res)
-		}
-	}
-	if it, err := empty.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("iterator pinned-packed on empty index: %v", err)
-	} else {
-		if _, ok := it.Next(); ok {
-			t.Fatal("empty iterator yielded")
-		}
-		it.Close()
-	}
-
-	// An incrementally built index never packs until told to.
-	fresh, err := gnn.NewIndex(gnn.IndexConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range randGroup(rng, 100) {
-		if err := fresh.Insert(p, -1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	assertNotPacked := func(ix *gnn.Index, when string) {
-		t.Helper()
-		for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-			if _, err := ix.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-				t.Fatalf("%s: %v pinned-packed: %v, want ErrNotPacked", when, algo, err)
-			}
-		}
-		if _, err := ix.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-			t.Fatalf("%s: iterator pinned-packed: %v, want ErrNotPacked", when, err)
-		}
-		qset, qerr := gnn.NewQuerySet(randGroup(rng, 50), gnn.QuerySetConfig{})
-		if qerr != nil {
-			t.Fatal(qerr)
-		}
-		if _, err := ix.GroupNNFromSet(qset, gnn.DiskAuto, gnn.WithLayout(gnn.LayoutPacked)); !errors.Is(err, gnn.ErrNotPacked) {
-			t.Fatalf("%s: disk query pinned-packed: %v, want ErrNotPacked", when, err)
-		}
-	}
-	assertNotPacked(fresh, "incremental")
-
-	// Pack freezes the base and restores pinned-packed service; from then
-	// on mutations land in the overlay and pinned-packed keeps serving.
-	fresh.Pack()
-	if _, err := fresh.GroupNN(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("pinned-packed after Pack: %v", err)
-	}
-	if err := fresh.Insert(gnn.Point{1, 1}, 999); err != nil {
-		t.Fatal(err)
-	}
-	for _, algo := range []gnn.Algorithm{gnn.AlgoMBM, gnn.AlgoMQM, gnn.AlgoSPM, gnn.AlgoBruteForce} {
-		if _, err := fresh.GroupNN(group, gnn.WithAlgorithm(algo), gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-			t.Fatalf("mutated: %v pinned-packed: %v", algo, err)
-		}
-	}
-	if it, err := fresh.GroupNNIterator(group, gnn.WithLayout(gnn.LayoutPacked)); err != nil {
-		t.Fatalf("mutated: iterator pinned-packed: %v", err)
-	} else {
-		it.Close()
-	}
-	// The disk family refuses pending mutations with a dedicated
-	// sentinel instead of serving from a stale base.
-	qset, qerr := gnn.NewQuerySet(randGroup(rng, 50), gnn.QuerySetConfig{})
-	if qerr != nil {
-		t.Fatal(qerr)
-	}
-	if _, err := fresh.GroupNNFromSet(qset, gnn.DiskAuto); !errors.Is(err, gnn.ErrPendingMutations) {
-		t.Fatalf("mutated: disk query: %v, want ErrPendingMutations", err)
-	}
-
-	// LayoutDynamic and LayoutAuto always serve, snapshot or not.
-	for _, layout := range []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutAuto} {
-		if _, err := fresh.GroupNN(group, gnn.WithLayout(layout)); err != nil {
-			t.Fatalf("%v after mutation: %v", layout, err)
-		}
-	}
-
-	// Layout and algorithm strings stay printable for diagnostics.
-	for _, s := range []fmt.Stringer{gnn.LayoutAuto, gnn.LayoutDynamic, gnn.LayoutPacked, gnn.Layout(42)} {
-		if s.String() == "" {
-			t.Fatal("empty layout string")
 		}
 	}
 }

@@ -37,9 +37,6 @@ func requireExplainMatches(t *testing.T, label string, ix explainTarget, q []gnn
 	if len(ex.Stages) == 0 {
 		t.Errorf("%s: no stages recorded", label)
 	}
-	if ex.Layout != "packed" && ex.Layout != "dynamic" {
-		t.Errorf("%s: layout %q", label, ex.Layout)
-	}
 	return ex
 }
 
@@ -101,9 +98,9 @@ func TestExplainPlainIndexAllAlgorithms(t *testing.T) {
 				t.Errorf("max kernel = %q, want generic", ex.MaxKernel)
 			}
 		}},
-		{"dynamic-layout", []gnn.QueryOption{gnn.WithLayout(gnn.LayoutDynamic)}, func(t *testing.T, ex *gnn.QueryExplain) {
-			if ex.Layout != "dynamic" {
-				t.Errorf("layout = %q, want dynamic", ex.Layout)
+		{"MBM-region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{600, 600})}, func(t *testing.T, ex *gnn.QueryExplain) {
+			if ex.Trace.NodesVisited == 0 || ex.Trace.ExactDistances == 0 {
+				t.Errorf("region query trace empty: %+v", ex.Trace)
 			}
 		}},
 	}
@@ -164,10 +161,7 @@ func TestExplainMappedSnapshot(t *testing.T) {
 	}
 	defer mapped.Close()
 	for _, q := range queries[:4] {
-		ex := requireExplainMatches(t, "mapped", mapped, q, gnn.WithK(2))
-		if ex.Layout != "packed" {
-			t.Errorf("mapped layout = %q, want packed", ex.Layout)
-		}
+		requireExplainMatches(t, "mapped", mapped, q, gnn.WithK(2))
 	}
 }
 

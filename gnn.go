@@ -8,7 +8,9 @@
 //	D. Papadias, Q. Shen, Y. Tao, K. Mouratidis:
 //	"Group Nearest Neighbor Queries", ICDE 2004.
 //
-// Data points live in an R*-tree (Index). Memory-resident query groups are
+// Data points live in an R*-tree (Index), built by R*-insertion or bulk
+// loading and served from one query layout: a packed structure-of-arrays
+// arena that keeps the tree's pages. Memory-resident query groups are
 // answered by MQM, SPM or MBM; disk-resident query sets (QuerySet) by
 // F-MQM, F-MBM or — when the query set is itself indexed — GCP. The
 // library reproduces the paper's cost model: every traversal counts
@@ -21,22 +23,19 @@
 // index-wide aggregate (Index.Cost) stay exact under concurrency: the
 // per-query costs of any set of queries sum to the aggregate they accrued.
 //
-// Writes under live traffic: once an index has a packed base (BuildIndex,
-// OpenSnapshot*, or the first Pack), Insert and Delete are safe to call
-// concurrently with any number of readers. Mutations never touch the
-// immutable base — inserts land in a small delta overlay (a dynamic
-// pending tail folded into a packed mini tree) and deletes tombstone base
-// points or physically remove overlay points — and every write publishes
-// a new immutable index view atomically, so an in-flight query keeps
-// traversing the consistent view it started on. Queries merge the base,
-// delta and pending candidate streams with the same shared-bound
+// Writes under live traffic: Insert and Delete are safe to call
+// concurrently with any number of readers on every index. Mutations never
+// touch the immutable packed base — inserts land in a small delta overlay
+// (a pending tail folded into a packed mini tree) and deletes tombstone
+// base points or physically remove overlay points — and every write
+// publishes a new immutable index view atomically, so an in-flight query
+// keeps traversing the consistent view it started on. Queries merge the
+// base, delta and pending candidate streams with the same shared-bound
 // machinery the sharded scatter uses, returning exactly what a fresh
 // index over the live point set would return. Pack (or the background
 // compactor, see StartCompactor) folds the overlay back into a fresh
-// packed base off the hot path and swaps it in under live readers. Only a
-// never-packed index (NewIndex before its first Pack) retains the legacy
-// contract: mutations go straight into the R*-tree and require external
-// synchronisation with no concurrent readers.
+// packed base off the hot path and swaps it in under live readers. An
+// index from NewIndex is an empty packed base plus this overlay.
 //
 // Scale-out: ShardedIndex Hilbert-partitions the data set into S
 // independent packed R-trees and answers the same query surface by
@@ -104,17 +103,14 @@ type IndexConfig struct {
 // then Insert) or BuildIndex (bulk load). All read operations are safe for
 // unlimited concurrent callers.
 //
-// Serving layout: BuildIndex packs the tree into a flat, cache-friendly
-// SoA snapshot (see Pack) that queries use by default. The packed base is
-// immutable: Insert and Delete on a packed index go into a delta overlay
-// (see the package comment) and are themselves safe under concurrent
-// readers; Pack or the background compactor folds the overlay back into
-// a fresh packed base. On a never-packed index (NewIndex before the first
-// Pack) mutations go straight into the R*-tree and require external
-// synchronisation with no concurrent readers.
+// Queries traverse an immutable packed base: a flat, cache-friendly SoA
+// arena of the tree. Insert and Delete go into a delta overlay (see the
+// package comment) and are themselves safe under concurrent readers; Pack
+// or the background compactor folds the overlay back into a fresh packed
+// base.
 type Index struct {
-	// view is the index's current immutable serving state: base tree,
-	// packed base arena and write overlay. Readers load it once per
+	// view is the index's current immutable serving state: packed base
+	// arena and write overlay. Readers load it once per
 	// operation (lock-free); writers build a successor under mu and
 	// publish it atomically.
 	view atomic.Pointer[viewState]
@@ -160,10 +156,7 @@ func (ix *Index) prepare() error {
 	if ix.closed.Load() {
 		return ErrSnapshotClosed
 	}
-	if v := ix.view.Load(); v.packed != nil {
-		return v.packed.Prepare()
-	}
-	return nil
+	return ix.view.Load().base.Prepare()
 }
 
 // acquire registers an inflight read against the index lifecycle so a
@@ -196,24 +189,21 @@ func drainRefs(refs *atomic.Int64) {
 	}
 }
 
-// newIndexOver wraps a constructed base (tree + optional packed arena)
-// into an Index with its initial view published.
-func newIndexOver(t *rtree.Tree, p *rtree.Packed, acct *pagestore.Accountant, rcfg rtree.Config) *Index {
+// newIndexOver wraps a constructed packed base into an Index with its
+// initial view published.
+func newIndexOver(p *rtree.Packed, acct *pagestore.Accountant, rcfg rtree.Config) *Index {
 	ix := &Index{acct: acct, rcfg: rcfg}
-	ix.view.Store(&viewState{tree: t, packed: p, frozen: p != nil})
+	ix.view.Store(&viewState{base: p})
 	empty := ""
 	ix.compactErr.Store(&empty)
 	return ix
 }
 
-// NewIndex returns an empty index.
+// NewIndex returns an empty index: an empty packed base whose inserts go
+// into the delta overlay, exactly as on a built index. Pack (or the
+// background compactor) folds them into a packed base.
 func NewIndex(cfg IndexConfig) (*Index, error) {
-	acct, rcfg := indexConfig(cfg)
-	t, err := rtree.New(rcfg)
-	if err != nil {
-		return nil, err
-	}
-	return newIndexOver(t, nil, acct, rcfg), nil
+	return BuildIndex(nil, nil, cfg)
 }
 
 // BuildIndex bulk-loads an index from points using sort-tile-recursive
@@ -228,7 +218,7 @@ func BuildIndex(points []Point, ids []int64, cfg IndexConfig) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(t, t.Pack(), acct, rcfg), nil
+	return newIndexOver(t.Pack(), acct, rcfg), nil
 }
 
 func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
@@ -240,12 +230,11 @@ func indexConfig(cfg IndexConfig) (*pagestore.Accountant, rtree.Config) {
 	}
 }
 
-// Insert adds a data point with its identifier. On a packed index the
-// insert lands in the delta overlay — the packed base keeps serving, and
-// the insert is safe under concurrent readers; Pack or the background
-// compactor folds the overlay into a fresh base. On a never-packed index
-// it mutates the R*-tree directly (legacy contract: no concurrent
-// readers). A rejected insert (dimension mismatch) changes nothing.
+// Insert adds a data point with its identifier. The insert lands in the
+// delta overlay — the packed base keeps serving, and the insert is safe
+// under concurrent readers; Pack or the background compactor folds the
+// overlay into a fresh base. A rejected insert (dimension mismatch)
+// changes nothing.
 func (ix *Index) Insert(p Point, id int64) error {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -253,11 +242,8 @@ func (ix *Index) Insert(p Point, id int64) error {
 		return ErrSnapshotClosed
 	}
 	v := ix.view.Load()
-	if !v.frozen {
-		return v.tree.Insert(geom.Point(p), id)
-	}
-	if len(p) != v.tree.Dim() {
-		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.tree.Dim())
+	if len(p) != v.base.Dim() {
+		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), v.base.Dim())
 	}
 	nv, err := ix.applyInsert(v, geom.Point(p).Clone(), id)
 	if err != nil {
@@ -270,11 +256,10 @@ func (ix *Index) Insert(p Point, id int64) error {
 }
 
 // Delete removes one occurrence of (p, id); it reports whether a matching
-// entry existed. On a packed index the delete either physically removes an
-// overlay point or tombstones a base occurrence — the packed base keeps
-// serving, and the delete is safe under concurrent readers. On a
-// never-packed index it mutates the R*-tree directly (legacy contract: no
-// concurrent readers). A no-op delete changes nothing.
+// entry existed. The delete either physically removes an overlay point or
+// tombstones a base occurrence — the packed base keeps serving, and the
+// delete is safe under concurrent readers. A no-op delete changes
+// nothing.
 func (ix *Index) Delete(p Point, id int64) bool {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
@@ -282,10 +267,7 @@ func (ix *Index) Delete(p Point, id int64) bool {
 		return false
 	}
 	v := ix.view.Load()
-	if !v.frozen {
-		return v.tree.Delete(geom.Point(p), id)
-	}
-	if len(p) != v.tree.Dim() {
+	if len(p) != v.base.Dim() {
 		return false
 	}
 	if ix.prepare() != nil {
@@ -301,59 +283,19 @@ func (ix *Index) Delete(p Point, id int64) bool {
 	return true
 }
 
-// Pack (re)builds the packed serving layout: an immutable snapshot of the
-// index that stores all nodes in one flat structure-of-arrays arena, which
-// queries then traverse instead of the pointer-linked nodes — same
-// results, same node-access counts, substantially less pointer chasing.
-// BuildIndex packs automatically. On a never-packed index Pack freezes the
-// current tree as the immutable base (structure preserved, so results and
-// node accesses are unchanged); from then on mutations go through the
-// overlay. On a packed index with overlay writes Pack compacts
-// synchronously: base and overlay are folded into a fresh packed base
-// (equivalent to Compact, with any error recorded in Stats). Pack is safe
-// under concurrent readers; only the never-packed→packed transition
-// retains the legacy no-concurrent-readers contract of the mutations
-// that preceded it.
+// Pack folds any overlay writes into a fresh packed base synchronously,
+// under live readers: it is Compact with the error recorded in Stats
+// rather than returned (the old view keeps serving on failure). Without
+// overlay writes it is a cheap no-op.
 func (ix *Index) Pack() {
-	ix.mu.Lock()
-	if ix.closed.Load() {
-		ix.mu.Unlock()
-		return
-	}
-	v := ix.view.Load()
-	if !v.frozen {
-		ix.view.Store(&viewState{tree: v.tree, packed: v.tree.Pack(), frozen: true, seq: v.seq})
-		ix.mu.Unlock()
-		return
-	}
-	ov := v.ov
-	ix.mu.Unlock()
-	if ov != nil {
-		ix.Compact() // error recorded in Stats; old view keeps serving on failure
-	}
-}
-
-// IsPacked reports whether the index serves queries from a packed base
-// arena. Overlay writes do not unpack the base: a built or snapshot-opened
-// index stays packed across Insert/Delete. Only a never-packed index
-// (NewIndex before the first Pack) reports false.
-func (ix *Index) IsPacked() bool {
-	v := ix.view.Load()
-	return v.packed.Valid(v.tree)
-}
-
-// servingPacked returns the packed base of the current view, or nil.
-// Kept for call sites that do not otherwise need the view; paths that
-// already hold a view use v.servingPacked() for a consistent read.
-func (ix *Index) servingPacked() *rtree.Packed {
-	return ix.view.Load().servingPacked()
+	ix.Compact()
 }
 
 // Len returns the number of live points: base points not masked by a
 // delete tombstone, plus overlay inserts.
 func (ix *Index) Len() int {
 	v := ix.view.Load()
-	n := v.tree.Len()
+	n := v.base.Len()
 	if v.ov != nil {
 		n += len(v.ov.pts) - v.ov.tombs.Total()
 	}
@@ -361,7 +303,7 @@ func (ix *Index) Len() int {
 }
 
 // Dim returns the index dimensionality.
-func (ix *Index) Dim() int { return ix.view.Load().tree.Dim() }
+func (ix *Index) Dim() int { return ix.view.Load().base.Dim() }
 
 // Bounds returns the MBR of the indexed points as (lo, hi); ok is false
 // when the index is empty.
@@ -374,7 +316,7 @@ func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 		return nil, nil, false // corrupt mapping; opens/queries report why
 	}
 	v := ix.view.Load()
-	r, ok := v.tree.Bounds()
+	r, ok := v.base.Bounds()
 	if v.ov != nil && len(v.ov.pts) > 0 {
 		// Overlay inserts can extend the MBR. Deletes are not shrunk
 		// until compaction, so the bounds are conservative (never too
@@ -388,7 +330,7 @@ func (ix *Index) Bounds() (lo, hi Point, ok bool) {
 	if !ok {
 		return nil, nil, false
 	}
-	return Point(r.Lo), Point(r.Hi), true
+	return Point(r.Lo.Clone()), Point(r.Hi.Clone()), true
 }
 
 // Cost reports simulated I/O: either one query's cost (the WithCost query
@@ -429,9 +371,10 @@ func (ix *Index) ResetCost() { ix.acct.Reset() }
 // ResetCostCold zeroes the counters and drops the buffer contents.
 func (ix *Index) ResetCostCold() { ix.acct.ResetAll() }
 
-// CheckInvariants validates the underlying R*-tree structure (exposed for
-// tests and diagnostics). On a mapped index it runs the arena's checksum
-// and structural validation instead (there are no dynamic nodes).
+// CheckInvariants validates the R-tree structure of the packed base and
+// of the overlay's delta tree (exposed for tests and diagnostics). On a
+// mapped index it first runs the arena's checksum and structural
+// validation.
 func (ix *Index) CheckInvariants() error {
 	if err := ix.acquire(); err != nil {
 		return err
@@ -441,7 +384,7 @@ func (ix *Index) CheckInvariants() error {
 		return err
 	}
 	v := ix.view.Load()
-	if err := v.tree.CheckInvariants(); err != nil {
+	if err := v.base.CheckInvariants(); err != nil {
 		return err
 	}
 	if v.ov != nil && v.ov.delta != nil {
@@ -477,7 +420,7 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 	var tk pagestore.CostTracker
 	v := ix.view.Load()
 	if v.ov == nil {
-		nbs := rtree.ReaderOver(v.tree, v.servingPacked(), &tk).NearestBF(geom.Point(q), k)
+		nbs := v.base.Reader(&tk).NearestBF(geom.Point(q), k)
 		out := make([]Result, len(nbs))
 		for i, nb := range nbs {
 			out[i] = Result{Point: Point(nb.Point), ID: nb.ID, Dist: nb.Dist}
@@ -493,7 +436,7 @@ func (ix *Index) NearestNeighborsWithCost(q Point, k int) ([]Result, Cost, error
 // accesses; the pending tail is a memory array and charges nothing.
 func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore.CostTracker) ([]Result, Cost, error) {
 	ov := v.ov
-	base := rtree.ReaderOver(v.tree, v.servingPacked(), tk).NewNNIterator(q)
+	base := v.base.Reader(tk).NewNNIterator(q)
 	defer base.Close()
 	nextBase := func() (rtree.Neighbor, bool) {
 		for {
@@ -509,7 +452,7 @@ func (ix *Index) nearestOverlay(v *viewState, q geom.Point, k int, tk *pagestore
 	}
 	nextDelta := func() (rtree.Neighbor, bool) { return rtree.Neighbor{}, false }
 	if ov.delta != nil {
-		delta := rtree.ReaderOver(ov.delta, ov.deltaP, tk).NewNNIterator(q)
+		delta := ov.delta.Reader(tk).NewNNIterator(q)
 		defer delta.Close()
 		nextDelta = func() (rtree.Neighbor, bool) { return delta.Next() }
 	}

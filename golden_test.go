@@ -3,8 +3,7 @@
 // pruning (looser bounds, reordered candidates, a broken heuristic) fails
 // loudly instead of shipping as a quiet slowdown. The counts are exact,
 // not thresholds: every traversal in this codebase is deterministic for a
-// fixed dataset and query list, and the packed/dynamic layouts are
-// bit-equivalent, so both layouts must land on the same number.
+// fixed dataset and query list.
 //
 // If an intentional pruning improvement changes a number, update the
 // table — in its own commit, with the new value justified.
@@ -84,8 +83,8 @@ var goldenRegion = gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{600, 600})
 
 // fromSet runs a disk-resident golden cell: the group becomes a query
 // file of 8-point blocks and the cost is node accesses plus page reads.
-func fromSet(ix *gnn.Index, algo gnn.DiskAlgorithm, opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
-	return func(qs []gnn.Point, _ gnn.Layout) (gnn.Cost, error) {
+func fromSet(ix *gnn.Index, algo gnn.DiskAlgorithm, opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+	return func(qs []gnn.Point) (gnn.Cost, error) {
 		set, err := gnn.NewQuerySet(qs, gnn.QuerySetConfig{BlockPoints: 8})
 		if err != nil {
 			return gnn.Cost{}, err
@@ -100,26 +99,21 @@ func TestGoldenNodeAccesses(t *testing.T) {
 
 	type cell struct {
 		name string
-		run  func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error)
+		run  func(qs []gnn.Point) (gnn.Cost, error)
 	}
-	// autoLayout cells run with the default layout only: the region and
-	// disk-resident paths pick their layout per algorithm.
-	autoLayout := map[string]bool{"MBM-BF/sum/region": true, "SPM-BF/sum/region": true,
-		"MBM-DF/sum/region": true, "SPM-DF/sum/region": true,
-		"GCP/sum": true, "F-MQM/sum": true, "F-MBM/sum": true, "F-MBM-DF/sum": true}
-	q := func(ix *gnn.Index, opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
-		return func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			_, c, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithK(8), gnn.WithLayout(layout))...)
+	q := func(ix *gnn.Index, opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
+			_, c, err := ix.GroupNNWithCost(qs, append(opts, gnn.WithK(8))...)
 			return c, err
 		}
 	}
-	sq := func(opts ...gnn.QueryOption) func([]gnn.Point, gnn.Layout) (gnn.Cost, error) {
-		return func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
+	sq := func(opts ...gnn.QueryOption) func([]gnn.Point) (gnn.Cost, error) {
+		return func(qs []gnn.Point) (gnn.Cost, error) {
 			// WithShards(1): the sequential scatter is the deterministic
 			// execution (the bound cascades shard to shard in index order);
 			// concurrent scatter has timing-dependent NA by design.
 			_, c, err := sx.GroupNNWithCost(qs,
-				append(opts, gnn.WithK(8), gnn.WithLayout(layout), gnn.WithShards(1))...)
+				append(opts, gnn.WithK(8), gnn.WithShards(1))...)
 			return c, err
 		}
 	}
@@ -138,8 +132,8 @@ func TestGoldenNodeAccesses(t *testing.T) {
 		{"sharded-MBM/sum", sq(gnn.WithAlgorithm(gnn.AlgoMBM))},
 		{"sharded-MBM/max", sq(gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithAggregate(gnn.MaxDist))},
 		{"sharded-MQM/sum", sq(gnn.WithAlgorithm(gnn.AlgoMQM))},
-		{"iterator-k8/sum", func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			it, err := ix.GroupNNIterator(qs, gnn.WithLayout(layout))
+		{"iterator-k8/sum", func(qs []gnn.Point) (gnn.Cost, error) {
+			it, err := ix.GroupNNIterator(qs)
 			if err != nil {
 				return gnn.Cost{}, err
 			}
@@ -155,7 +149,7 @@ func TestGoldenNodeAccesses(t *testing.T) {
 		{"SPM-BF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoSPM), goldenRegion)},
 		{"MBM-DF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithDepthFirst(), goldenRegion)},
 		{"SPM-DF/sum/region", q(ix, gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithDepthFirst(), goldenRegion)},
-		{"GCP/sum", func(qs []gnn.Point, _ gnn.Layout) (gnn.Cost, error) {
+		{"GCP/sum", func(qs []gnn.Point) (gnn.Cost, error) {
 			qix, err := gnn.BuildIndex(qs, nil, gnn.IndexConfig{NodeCapacity: 16})
 			if err != nil {
 				return gnn.Cost{}, err
@@ -166,8 +160,8 @@ func TestGoldenNodeAccesses(t *testing.T) {
 		{"F-MQM/sum", fromSet(ix, gnn.DiskFMQM)},
 		{"F-MBM/sum", fromSet(ix, gnn.DiskFMBM)},
 		{"F-MBM-DF/sum", fromSet(ix, gnn.DiskFMBM, gnn.WithDepthFirst())},
-		{"sharded-iter/sum", func(qs []gnn.Point, layout gnn.Layout) (gnn.Cost, error) {
-			it, err := sx.GroupNNIterator(qs, gnn.WithLayout(layout))
+		{"sharded-iter/sum", func(qs []gnn.Point) (gnn.Cost, error) {
+			it, err := sx.GroupNNIterator(qs)
 			if err != nil {
 				return gnn.Cost{}, err
 			}
@@ -182,36 +176,23 @@ func TestGoldenNodeAccesses(t *testing.T) {
 	}
 
 	for _, c := range cells {
-		var perLayout [2]int64
-		layouts := []gnn.Layout{gnn.LayoutDynamic, gnn.LayoutPacked}
-		if autoLayout[c.name] {
-			layouts = []gnn.Layout{gnn.LayoutAuto, gnn.LayoutAuto}
-		}
-		for li, layout := range layouts {
-			var total int64
-			for _, qs := range queries {
-				cost, err := c.run(qs, layout)
-				if err != nil {
-					t.Fatalf("%s (%v): %v", c.name, layout, err)
-				}
-				total += cost.NodeAccesses
+		var total int64
+		for _, qs := range queries {
+			cost, err := c.run(qs)
+			if err != nil {
+				t.Fatalf("%s: %v", c.name, err)
 			}
-			perLayout[li] = total
-		}
-		if perLayout[0] != perLayout[1] {
-			t.Errorf("%s: NA diverged between layouts: dynamic %d, packed %d",
-				c.name, perLayout[0], perLayout[1])
-			continue
+			total += cost.NodeAccesses
 		}
 		want, ok := goldenNA[c.name]
 		if !ok {
-			t.Errorf("%s: no golden value; measured %d", c.name, perLayout[0])
+			t.Errorf("%s: no golden value; measured %d", c.name, total)
 			continue
 		}
-		if perLayout[0] != want {
+		if total != want {
 			t.Errorf("%s: node accesses changed: got %d, golden %d — a pruning regression "+
 				"(or an intentional change that must update the golden table)",
-				c.name, perLayout[0], want)
+				c.name, total, want)
 		}
 	}
 }

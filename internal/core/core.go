@@ -1,6 +1,7 @@
 // Package core implements the paper's contribution: algorithms that answer
 // group nearest neighbor (GNN) queries over a dataset P indexed by an
-// R-tree and a query group Q.
+// R-tree — traversed in its packed arena form (rtree.Packed) — and a
+// query group Q. Each algorithm is one traversal per traversal order.
 //
 // Memory-resident Q (§3):
 //
@@ -145,12 +146,6 @@ type Options struct {
 	// from the pool for the duration of the call. Like Cost, an Exec must
 	// not be shared by concurrent queries.
 	Exec *ExecContext
-	// Packed, when non-nil and still valid for the queried tree, makes the
-	// traversal run against the flat SoA arena instead of the dynamic
-	// nodes. Results, per-query costs and node-access counts are identical
-	// between the layouts; only the memory walked differs. A stale or
-	// mismatched snapshot is ignored (dynamic fallback), never an error.
-	Packed *rtree.Packed
 	// Shared, when non-nil, couples this traversal to the other partitions
 	// of one sharded query: MQM, SPM, MBM and BruteForce prune with
 	// min(local k-th best, Shared) and publish their local k-th best into
@@ -209,19 +204,7 @@ var (
 	ErrUnsupportedOption = errors.New("core: option not supported by this algorithm")
 )
 
-// packedFor returns the packed snapshot the traversal should use, or nil
-// for the dynamic layout. The region extension stays on the dynamic nodes
-// unless the algorithm filters per point only (allowRegion): the packed
-// kernels keep their fused loops branch-free rather than threading a
-// rectangle test through every pass.
-func (o Options) packedFor(t *rtree.Tree, allowRegion bool) *rtree.Packed {
-	if o.Packed == nil || (o.Region != nil && !allowRegion) || !o.Packed.Valid(t) {
-		return nil
-	}
-	return o.Packed
-}
-
-func validate(t *rtree.Tree, qs []geom.Point, opt Options) error {
+func validate(p *rtree.Packed, qs []geom.Point, opt Options) error {
 	if len(qs) == 0 {
 		return ErrEmptyQuery
 	}
@@ -229,9 +212,9 @@ func validate(t *rtree.Tree, qs []geom.Point, opt Options) error {
 		return ErrBadK
 	}
 	for i, q := range qs {
-		if len(q) != t.Dim() {
+		if len(q) != p.Dim() {
 			return fmt.Errorf("core: query point %d has dimension %d, tree dimension %d",
-				i, len(q), t.Dim())
+				i, len(q), p.Dim())
 		}
 	}
 	return nil
@@ -392,9 +375,13 @@ func (b *kbest) results() []GroupNeighbor {
 // BruteForce scans every indexed point and returns the exact k GNNs. It is
 // the validation baseline; it does not charge node accesses (a sequential
 // file scan, not an index traversal).
-func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+//
+// The flat leaf arena is consumed in streaming chunks, each chunk's
+// aggregate distances computed by one fused group kernel over the SoA
+// coordinate arrays; offers happen in the arena's depth-first slot order.
+func BruteForce(p *rtree.Packed, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
+	if err := validate(p, qs, opt); err != nil {
 		return nil, err
 	}
 	w, err := newWeightCtx(opt.Weights, len(qs))
@@ -404,41 +391,6 @@ func BruteForce(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, e
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
-	if p := opt.packedFor(t, true); p != nil {
-		bruteForcePacked(p, qs, w, opt, best, ec)
-		if err := opt.Cancel.Failure(); err != nil {
-			return nil, err
-		}
-		return best.results(), nil
-	}
-	t.All(func(p geom.Point, id int64) bool {
-		if opt.Cancel.Stop() {
-			return false
-		}
-		if tr := opt.Trace; tr != nil {
-			tr.PointsScanned++
-		}
-		if regionAllows(opt.Region, p) {
-			if tr := opt.Trace; tr != nil {
-				tr.ExactDistances++
-			}
-			best.offer(GroupNeighbor{Point: p, ID: id, Dist: aggDistW(opt.Aggregate, p, qs, w)})
-		}
-		return true
-	})
-	if err := opt.Cancel.Failure(); err != nil {
-		return nil, err
-	}
-	return best.results(), nil
-}
-
-// bruteForcePacked is the packed-layout baseline: the flat leaf arena is
-// consumed in streaming chunks, each chunk's aggregate distances computed
-// by one fused group kernel over the SoA coordinate arrays — the linear
-// scan the packed layout was built to make fast. Offers happen in the
-// same depth-first slot order as Tree.All, so results are identical to
-// the dynamic scan.
-func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Options, best *kbest, ec *ExecContext) {
 	pc := p.PointSoA()
 	n := p.NumLeafSlots()
 	const chunk = 512
@@ -452,12 +404,9 @@ func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Option
 		// so one context read per chunk is noise — while a 256-chunk
 		// stride would let a canceled scan run for another 128k points.
 		if opt.Cancel.Check() != nil {
-			return
+			break
 		}
-		e := s + chunk
-		if e > n {
-			e = n
-		}
+		e := min(s+chunk, n)
 		if tr := opt.Trace; tr != nil {
 			// The fused kernel computes every chunk point's exact group
 			// distance in one pass, region filtering happens after.
@@ -498,6 +447,10 @@ func bruteForcePacked(p *rtree.Packed, qs []geom.Point, w *weightCtx, opt Option
 			best.offer(GroupNeighbor{Point: pt, ID: p.LeafID(slot), Dist: d})
 		}
 	}
+	if err := opt.Cancel.Failure(); err != nil {
+		return nil, err
+	}
+	return best.results(), nil
 }
 
 // BruteForcePoints computes the exact k GNNs of qs over a plain point

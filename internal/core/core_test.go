@@ -12,7 +12,9 @@ import (
 
 // --- shared helpers ---
 
-func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Tree {
+// buildTree grows an R*-tree by insertion (ids are slice indexes) and
+// returns its packed arena, the structure every kernel traverses.
+func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Packed {
 	t.Helper()
 	tr, err := rtree.New(rtree.Config{MaxEntries: maxEntries})
 	if err != nil {
@@ -23,7 +25,13 @@ func buildTree(t testing.TB, pts []geom.Point, maxEntries int) *rtree.Tree {
 			t.Fatal(err)
 		}
 	}
-	return tr
+	return tr.Pack()
+}
+
+// emptyTree returns the packed arena of an empty tree.
+func emptyTree(t testing.TB) *rtree.Packed {
+	t.Helper()
+	return buildTree(t, nil, 0)
 }
 
 func randPts(rng *rand.Rand, n int, span float64) []geom.Point {
@@ -70,7 +78,7 @@ func sameResults(t *testing.T, name string, got, want []GroupNeighbor) {
 
 type memAlgo struct {
 	name string
-	run  func(*rtree.Tree, []geom.Point, Options) ([]GroupNeighbor, error)
+	run  func(*rtree.Packed, []geom.Point, Options) ([]GroupNeighbor, error)
 }
 
 var memAlgos = []memAlgo{
@@ -113,7 +121,7 @@ func TestAggregateString(t *testing.T) {
 }
 
 func TestEmptyTreeAllAlgorithms(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{})
+	tr := emptyTree(t)
 	qs := []geom.Point{{1, 1}, {2, 2}}
 	for _, a := range memAlgos {
 		got, err := a.run(tr, qs, Options{})
@@ -249,7 +257,7 @@ func TestSingleQueryPointDegeneratesToNN(t *testing.T) {
 	tr := buildTree(t, pts, 8)
 	for trial := 0; trial < 10; trial++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
-		nn := tr.NearestBF(q, 5)
+		nn := tr.Reader(nil).NearestBF(q, 5)
 		for _, a := range memAlgos {
 			got, err := a.run(tr, []geom.Point{q}, Options{K: 5})
 			if err != nil {
@@ -272,7 +280,7 @@ func TestCoincidentQueryPoints(t *testing.T) {
 	tr := buildTree(t, pts, 8)
 	q := geom.Point{321, 654}
 	qs := []geom.Point{q.Clone(), q.Clone(), q.Clone(), q.Clone()}
-	nn := tr.NearestBF(q, 3)
+	nn := tr.Reader(nil).NearestBF(q, 3)
 	for _, a := range memAlgos {
 		got, err := a.run(tr, qs, Options{K: 3})
 		if err != nil {

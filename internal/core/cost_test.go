@@ -25,7 +25,7 @@ func TestPerQueryCostSumsToAggregate(t *testing.T) {
 
 	algos := []struct {
 		name string
-		run  func(*rtree.Tree, []geom.Point, Options) ([]GroupNeighbor, error)
+		run  func(*rtree.Packed, []geom.Point, Options) ([]GroupNeighbor, error)
 	}{
 		{"MQM", MQM},
 		{"SPM", SPM},

@@ -11,13 +11,13 @@ import (
 	"gnn/internal/rtree"
 )
 
-func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Tree {
+func buildTreeIDs(t testing.TB, pts []geom.Point) *rtree.Packed {
 	t.Helper()
 	tr, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 10}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr
+	return tr.Pack()
 }
 
 func TestQueryFileBasics(t *testing.T) {
@@ -135,7 +135,7 @@ func TestGCPErrors(t *testing.T) {
 	if _, err := GCP(tp, tq, GCPOptions{Options: Options{Aggregate: Max}}); !errors.Is(err, ErrUnsupportedAggregate) {
 		t.Fatal("Max aggregate accepted")
 	}
-	empty, _ := rtree.New(rtree.Config{})
+	empty := emptyTree(t)
 	if _, err := GCP(tp, empty, GCPOptions{}); !errors.Is(err, ErrEmptyQuery) {
 		t.Fatal("empty Q accepted")
 	}
@@ -270,7 +270,7 @@ func TestFDiskErrors(t *testing.T) {
 }
 
 func TestFDiskEmptyTree(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{})
+	tr := emptyTree(t)
 	qf, _ := NewQueryFile([]geom.Point{{1, 1}, {2, 2}}, 10, nil, 0)
 	rep, err := FMBM(tr, qf, DiskOptions{})
 	if err != nil || len(rep.Neighbors) != 0 {

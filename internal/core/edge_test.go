@@ -70,12 +70,13 @@ func almostSame(a, b float64) bool {
 
 // Duplicate data points must all be reportable as distinct results.
 func TestDuplicateDataPointsAsResults(t *testing.T) {
-	tr, _ := rtree.New(rtree.Config{MaxEntries: 4})
+	b, _ := rtree.New(rtree.Config{MaxEntries: 4})
 	p := geom.Point{10, 10}
 	for i := 0; i < 5; i++ {
-		tr.Insert(p, int64(i))
+		b.Insert(p, int64(i))
 	}
-	tr.Insert(geom.Point{90, 90}, 99)
+	b.Insert(geom.Point{90, 90}, 99)
+	tr := b.Pack()
 	qs := []geom.Point{{9, 9}, {11, 11}}
 	for _, a := range memAlgos {
 		got, err := a.run(tr, qs, Options{K: 5})

@@ -23,19 +23,17 @@ import (
 // concurrent queries: like Options.Cost, it is unsynchronised by design.
 type ExecContext struct {
 	best  kbest
-	cands rtree.CandStack
-	eheap pq.Heap[rtree.Entry]
 	qmbr  geom.Rect
 	qcent geom.Point
 
-	// Packed-layout scratch: per-depth ref candidates, the int32 best-first
+	// Traversal scratch: per-depth ref candidates, the int32 best-first
 	// heap, the fused-kernel distance buffers and a spare rectangle for the
 	// per-node bounds that need one (heuristic 3, F-MBM leaf ordering).
-	pcands rtree.PCandStack
-	peheap pq.Heap[rtree.PackedRef]
-	dbuf   []float64
-	dbuf2  []float64
-	prect  geom.Rect
+	cands rtree.CandStack
+	heap  pq.Heap[rtree.PackedRef]
+	dbuf  []float64
+	dbuf2 []float64
+	prect geom.Rect
 
 	// SoA copy of the query group (per-axis columns) for the exact-
 	// distance and heuristic-3 inner loops.
@@ -59,8 +57,7 @@ type ExecContext struct {
 	keep      []int
 	blockDist []float64
 	lbs       []float64
-	fcands    []fmbmLeafCand
-	pfcands   []fmbmPackedCand
+	fcands    []fmbmCand
 }
 
 var execPool = pq.NewPool(func() *ExecContext { return &ExecContext{} })
@@ -78,13 +75,10 @@ func (ec *ExecContext) Release() {
 	}
 	ec.best.reset(0)
 	ec.cands.Reset()
-	ec.eheap.Reset()
-	ec.pcands.Reset()
-	ec.peheap.Reset()
+	ec.heap.Reset()
 	clear(ec.qsbuf[:cap(ec.qsbuf)])
 	clear(ec.iters[:cap(ec.iters)])
-	clear(ec.fcands[:cap(ec.fcands)])
-	ec.pfcands = ec.pfcands[:0]
+	ec.fcands = ec.fcands[:0]
 	ec.lbs = ec.lbs[:0]
 	ec.mebs.Reset()
 	ec.meb = mebCtx{}

@@ -50,7 +50,7 @@ type fmqmCand struct {
 // they were drawn before the threshold was reached and may still win.
 //
 // SUM aggregate only (the threshold decomposition over blocks is a sum).
-func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
+func FMQM(p *rtree.Packed, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 	opt.Options = opt.Options.withDefaults()
 	if opt.K < 1 {
 		return nil, ErrBadK
@@ -131,7 +131,7 @@ func FMQM(t *rtree.Tree, qf *QueryFile, opt DiskOptions) (*DiskReport, error) {
 			if iters[j] == nil {
 				// opt.Options carries the per-query tracker, so the
 				// per-block GNN streams charge it too.
-				it, err := NewGNNIterator(t, pts, opt.Options)
+				it, err := NewGNNIterator(p, pts, opt.Options)
 				if err != nil {
 					return nil, err
 				}

@@ -58,7 +58,7 @@ type gcpCand struct {
 // reaches T.
 //
 // The SUM aggregate only: the accumulation is a running sum.
-func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
+func GCP(tp, tq *rtree.Packed, opt GCPOptions) (*GCPReport, error) {
 	opt.Options = opt.Options.withDefaults()
 	if opt.K < 1 {
 		return nil, ErrBadK
@@ -77,7 +77,7 @@ func GCP(tp, tq *rtree.Tree, opt GCPOptions) (*GCPReport, error) {
 	}
 	// Both trees charge the same per-query tracker, so the report's cost is
 	// the combined NA over P and Q.
-	it, err := rtree.NewClosestPairIteratorReaders(tp.Reader(opt.Cost), tq.Reader(opt.Cost))
+	it, err := rtree.NewClosestPairIterator(tp.Reader(opt.Cost), tq.Reader(opt.Cost))
 	if err != nil {
 		return nil, err
 	}

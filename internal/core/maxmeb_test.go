@@ -50,7 +50,7 @@ func TestMaxKernelEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(61))
 	pts := clusteredPts(rng, 2500, 1000)
 	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
+	region := geom.NewRect(geom.Point{100, 100}, geom.Point{700, 700})
 
 	for trial := 0; trial < 16; trial++ {
 		n := []int{1, 2, 3, 8, 33}[trial%5]
@@ -68,16 +68,16 @@ func TestMaxKernelEquivalence(t *testing.T) {
 		}
 		k := []int{1, 4, 9}[trial%3]
 		for _, df := range []bool{false, true} {
-			for _, usePacked := range []bool{false, true} {
+			for _, constrained := range []bool{false, true} {
 				opt := Options{K: k, Weights: weights}
 				if df {
 					opt.Traversal = DepthFirst
 				}
-				if usePacked {
-					opt.Packed = packed
+				if constrained {
+					opt.Region = &region
 				}
-				name := fmt.Sprintf("trial%d/n=%d/k=%d/df=%v/packed=%v/weighted=%v",
-					trial, n, k, df, usePacked, weights != nil)
+				name := fmt.Sprintf("trial%d/n=%d/k=%d/df=%v/region=%v/weighted=%v",
+					trial, n, k, df, constrained, weights != nil)
 				maxDiff(t, name, func(o Options) ([]GroupNeighbor, error) {
 					return MBM(tr, qs, o)
 				}, opt)
@@ -94,18 +94,18 @@ func TestMaxKernelIterator(t *testing.T) {
 	rng := rand.New(rand.NewSource(62))
 	pts := clusteredPts(rng, 2000, 800)
 	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
+	region := geom.NewRect(geom.Point{0, 0}, geom.Point{500, 500})
 
-	for _, usePacked := range []bool{false, true} {
+	for _, constrained := range []bool{false, true} {
 		qs := make([]geom.Point, 7)
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 		}
 		dopt := Options{Aggregate: Max}
 		gopt := Options{Aggregate: Max, GenericMax: true}
-		if usePacked {
-			dopt.Packed = packed
-			gopt.Packed = packed
+		if constrained {
+			dopt.Region = &region
+			gopt.Region = &region
 		}
 		di, err := NewGNNIterator(tr, qs, dopt)
 		if err != nil {
@@ -119,8 +119,8 @@ func TestMaxKernelIterator(t *testing.T) {
 			dn, dok := di.Next()
 			gn, gok := gi.Next()
 			if dok != gok || !reflect.DeepEqual(dn, gn) {
-				t.Fatalf("packed=%v: stream diverged at %d:\ndedicated: %v %v\ngeneric:   %v %v",
-					usePacked, i, dn, dok, gn, gok)
+				t.Fatalf("region=%v: stream diverged at %d:\ndedicated: %v %v\ngeneric:   %v %v",
+					constrained, i, dn, dok, gn, gok)
 			}
 			if !dok {
 				break
@@ -132,7 +132,8 @@ func TestMaxKernelIterator(t *testing.T) {
 }
 
 // FuzzMaxEquivalence fuzzes the dedicated-vs-generic MAX differential
-// across dataset shape, group size, k, weights, traversal and layout.
+// across dataset shape, group size, k, weights, traversal and a region
+// constraint.
 // Any divergence in results — or the dedicated kernel reading more nodes
 // than the generic one — crashes the fuzz target.
 func FuzzMaxEquivalence(f *testing.F) {
@@ -146,7 +147,6 @@ func FuzzMaxEquivalence(f *testing.F) {
 		np := int(n)%1200 + 1
 		pts := clusteredPts(rng, np, 500)
 		tr := buildTree(t, pts, 8)
-		packed := tr.Pack()
 		qs := make([]geom.Point, int(groupSize)%24+1)
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 600, rng.Float64() * 600}
@@ -162,11 +162,12 @@ func FuzzMaxEquivalence(f *testing.F) {
 		if df {
 			opt.Traversal = DepthFirst
 		}
-		maxDiff(t, "fuzz/dynamic", func(o Options) ([]GroupNeighbor, error) {
+		maxDiff(t, "fuzz", func(o Options) ([]GroupNeighbor, error) {
 			return MBM(tr, qs, o)
 		}, opt)
-		opt.Packed = packed
-		maxDiff(t, "fuzz/packed", func(o Options) ([]GroupNeighbor, error) {
+		region := geom.NewRect(geom.Point{50, 50}, geom.Point{400, 400})
+		opt.Region = &region
+		maxDiff(t, "fuzz/region", func(o Options) ([]GroupNeighbor, error) {
 			return MBM(tr, qs, o)
 		}, opt)
 	})

@@ -24,12 +24,12 @@ import (
 // Both variants draw their scratch (candidate buffers, result list, query
 // MBR corners, heaps) from the pooled execution context, so a warm query
 // allocates only its result slice.
-func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+func MBM(p *rtree.Packed, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
+	if err := validate(p, qs, opt); err != nil {
 		return nil, err
 	}
-	if t.Len() == 0 {
+	if p.Len() == 0 {
 		return nil, nil
 	}
 	ec, owned := opt.exec()
@@ -41,7 +41,7 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		}
 		best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
 		st := mbmState{
-			rd:   rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
+			rd:   p.Reader(opt.Cost),
 			qs:   qs,
 			gq:   ec.groupSoA(qs),
 			qmbr: ec.boundingRect(qs),
@@ -54,17 +54,13 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 		if opt.mebEnabled(len(qs)) {
 			st.meb = ec.mebFor(qs, w)
 		}
-		if st.rd.Packed() != nil {
-			st.dfPacked(st.rd.PackedRoot(), 0)
-		} else {
-			st.df(st.rd.Root(), 0)
-		}
+		st.df(st.rd.Root(), 0)
 		if err := opt.Cancel.Failure(); err != nil {
 			return nil, err
 		}
 		return best.results(), nil
 	}
-	it, err := NewGNNIterator(t, qs, opt)
+	it, err := NewGNNIterator(p, qs, opt)
 	if err != nil {
 		return nil, err
 	}
@@ -103,19 +99,6 @@ func MBM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 // (classification needs no priority order), so it costs one linear read
 // rather than a destructive pop-all; Close resets the heaps either way.
 func (it *GNNIterator) drainPruneCounts(tr *Trace) {
-	if it.rd.Packed() != nil {
-		for _, item := range it.ph.Items() {
-			switch item.Value.state {
-			case nodeCheap:
-				tr.NodesPrunedH2++
-			case nodeTight:
-				tr.NodesPrunedH3++
-			case pointCheap:
-				tr.PointsPrunedQuick++
-			}
-		}
-		return
-	}
 	for _, item := range it.heap.Items() {
 		switch item.Value.state {
 		case nodeCheap:
@@ -146,86 +129,14 @@ type mbmState struct {
 // the query MBR; heuristic 2 ends the scan of the sorted list (monotone in
 // the sort key), heuristic 3 skips individual surviving nodes.
 //
-// Candidates are sorted on the squared mindist (same order — squaring is
-// monotone) with an inlined insertion sort over a per-depth pooled buffer,
-// and the heuristic-2 bound is derived from that key with a single Sqrt,
-// instead of the seed's fresh slice, sort.Slice closure and second mindist
-// computation per entry.
-func (st *mbmState) df(nd rtree.Node, depth int) {
-	if st.opt.Cancel.Stop() {
-		return
-	}
-	buf := st.ec.cands.Level(depth)
-	cands := *buf
-	for _, e := range nd.Entries() {
-		if !regionIntersects(st.opt.Region, e.Rect) {
-			continue // constrained query: subtree holds no qualifying point
-		}
-		var d, d2 float64 // mindist(entry, M)² — the sort key — and its tie-break
-		if e.IsLeafEntry() {
-			d = geom.MinDistSqPointRect(e.Point, st.qmbr)
-			d2 = geom.DistSq(e.Point, st.qcent)
-		} else {
-			d = geom.MinDistSqRectRect(e.Rect, st.qmbr)
-			d2 = geom.MinDistSqPointRect(st.qcent, e.Rect)
-		}
-		cands = append(cands, rtree.Cand{E: e, D: d, D2: d2})
-	}
-	rtree.SortCands(cands)
-	*buf = cands
-	n := len(st.qs)
-	for i := range cands {
-		c := cands[i]
-		// Heuristic 2 from the sort key: quickLBFromMindist(√key) equals
-		// the quickNodeLBW/quickPointLBW bound bit for bit, because every
-		// mindist function is defined as the Sqrt of its squared variant.
-		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, st.w)
-		if c.E.IsLeafEntry() {
-			// Heuristic 2 on points: mindist(p,M) ≥ best_dist/n discards
-			// p without computing n exact distances; monotone in the sort
-			// key, so all later entries are discarded too.
-			if lb >= st.best.bound() {
-				st.opt.Trace.add(func(tr *Trace) { tr.PointsPrunedQuick++ })
-				return
-			}
-			if st.meb != nil && st.meb.pointBound(c.E.Point) >= st.best.bound() {
-				st.opt.Trace.add(func(tr *Trace) { tr.PointsPrunedMEB++ })
-				continue // MEB point bound: skip the n exact distances
-			}
-			if regionAllows(st.opt.Region, c.E.Point) {
-				st.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
-				st.best.offer(GroupNeighbor{
-					Point: c.E.Point, ID: c.E.ID,
-					Dist: aggDistSoA(st.opt.Aggregate, c.E.Point, st.gq, st.w),
-				})
-			}
-			continue
-		}
-		if lb >= st.best.bound() {
-			st.opt.Trace.add(func(tr *Trace) { tr.NodesPrunedH2++ })
-			return // heuristic 2: this and all later nodes pruned
-		}
-		if st.meb != nil && st.meb.nodeBound(c.E.Rect) >= st.best.bound() {
-			st.opt.Trace.add(func(tr *Trace) { tr.NodesPrunedMEB++ })
-			continue // MEB node bound: skip just this node (order unchanged)
-		}
-		if !st.opt.DisableHeuristic3 &&
-			nodeLBSoA(st.opt.Aggregate, c.E.Rect, st.gq, st.w) >= st.best.bound() {
-			st.opt.Trace.add(func(tr *Trace) { tr.NodesPrunedH3++ })
-			continue // heuristic 3: skip just this node
-		}
-		st.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-		st.df(st.rd.Child(c.E), depth+1)
-	}
-}
-
-// dfPacked is the depth-first MBM of Figure 3.7 over the packed arena:
-// the per-node sort key (squared mindist to the query MBR) and its
-// centre-distance tie-break both come from fused passes over the SoA
-// coordinate arrays, and candidates are 4-byte refs instead of copied
-// entries. Every bound is evaluated by the same floating-point operations
-// as df, so pruning — and with it the node-access count — is identical.
-func (st *mbmState) dfPacked(nd int32, depth int) {
+// The per-node sort key (squared mindist to the query MBR — same order,
+// squaring is monotone) and its centre-distance tie-break both come from
+// fused passes over the SoA coordinate arrays; candidates are 4-byte refs
+// in a per-depth pooled buffer ordered by an inlined insertion sort, and
+// the heuristic-2 bound is derived from the key with a single Sqrt. A
+// constrained query drops the slots outside its region before the sort,
+// so the fused passes themselves stay region-free.
+func (st *mbmState) df(nd int32, depth int) {
 	if st.opt.Cancel.Stop() {
 		return
 	}
@@ -245,23 +156,34 @@ func (st *mbmState) dfPacked(nd int32, depth int) {
 		geom.MinDistSqRectsRect(lo, hi, int(s), int(e), st.qmbr, d)
 		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), st.qcent, d2)
 	}
-	buf := st.ec.pcands.Level(depth)
+	buf := st.ec.cands.Level(depth)
 	cands := *buf
+	region := st.opt.Region
 	for i := 0; i < cnt; i++ {
-		ref := rtree.LeafRef(s + int32(i))
+		slot := s + int32(i)
+		ref := rtree.LeafRef(slot)
 		if !leaf {
-			ref = rtree.NodeRef(s + int32(i))
+			ref = rtree.NodeRef(slot)
 		}
-		cands = append(cands, rtree.PCand{Ref: ref, D: d[i], D2: d2[i]})
+		if region != nil && !regionAdmits(region, p, ref) {
+			continue // constrained query: no qualifying point beneath
+		}
+		cands = append(cands, rtree.Cand{Ref: ref, D: d[i], D2: d2[i]})
 	}
-	rtree.SortPCands(cands)
+	rtree.SortCands(cands)
 	*buf = cands
 	n := len(st.qs)
 	for i := range cands {
 		c := cands[i]
+		// Heuristic 2 from the sort key: quickLBFromMindist(√key) equals
+		// the quickNodeLBW/quickPointLBW bound bit for bit, because every
+		// mindist function is defined as the Sqrt of its squared variant.
 		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, st.w)
 		slot, isPoint := rtree.RefSlot(c.Ref)
 		if isPoint {
+			// Heuristic 2 on points: mindist(p,M) ≥ best_dist/n discards
+			// p without computing n exact distances; monotone in the sort
+			// key, so all later entries are discarded too.
 			if lb >= st.best.bound() {
 				st.opt.Trace.add(func(tr *Trace) { tr.PointsPrunedQuick++ })
 				return
@@ -296,7 +218,7 @@ func (st *mbmState) dfPacked(nd int32, depth int) {
 			}
 		}
 		st.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-		st.dfPacked(st.rd.PackedChild(slot), depth+1)
+		st.df(st.rd.Child(slot), depth+1)
 	}
 }
 
@@ -329,11 +251,10 @@ type GNNIterator struct {
 	gq     [][]float64 // SoA copy of qs for the group-facing inner loops
 	gflat  []float64   // backing of gq
 	heap   pq.Heap[gnnItem]
-	ph     pq.Heap[pgnnItem] // packed layout: 8-byte items, fused keys
-	dbuf   []float64         // fused-kernel distance buffer (packed path)
-	dbuf2  []float64         // fused MEB-bound buffer (packed path)
-	prect  geom.Rect         // spare rect for the packed heuristic-3 bound
-	mebs   geom.MEBScratch   // dedicated aggregate-MAX solver scratch
+	dbuf   []float64       // fused-kernel distance buffer
+	dbuf2  []float64       // fused MEB-bound buffer
+	prect  geom.Rect       // spare rect for the heuristic-3 bound
+	mebs   geom.MEBScratch // dedicated aggregate-MAX solver scratch
 	meb    mebCtx
 	mebp   *mebCtx // armed (&meb) on the dedicated MAX path, else nil
 	closed bool
@@ -350,26 +271,21 @@ const (
 	pointExact
 )
 
+// gnnItem is one heap entry: an int32 ref plus its key state, 8 bytes,
+// so the lazy best-first heap stays within a few cache lines even at its
+// high-water mark.
 type gnnItem struct {
-	e     rtree.Entry
-	state gnnState
-}
-
-// pgnnItem is gnnItem for the packed layout: the 88-byte entry shrinks to
-// an int32 ref, so the lazy best-first heap stays within a few cache
-// lines even at its high-water mark.
-type pgnnItem struct {
 	ref   rtree.PackedRef
 	state gnnState
 }
 
-// NewGNNIterator starts an incremental GNN scan of t around qs. The
+// NewGNNIterator starts an incremental GNN scan of p around qs. The
 // iterator owns its scratch (it does not borrow Options.Exec, so any
 // number of iterators — F-MQM runs one per query block — may coexist
 // within one query).
-func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, error) {
+func NewGNNIterator(p *rtree.Packed, qs []geom.Point, opt Options) (*GNNIterator, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
+	if err := validate(p, qs, opt); err != nil {
 		return nil, err
 	}
 	w, err := newWeightCtx(opt.Weights, len(qs))
@@ -377,7 +293,7 @@ func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, 
 		return nil, err
 	}
 	it := gnnIterPool.Get()
-	it.rd = rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost)
+	it.rd = p.Reader(opt.Cost)
 	it.qs = qs
 	it.gq, it.gflat = groupSoAInto(it.gq, it.gflat, qs)
 	it.qmbr = geom.BoundingRectInto(it.qmbr, qs)
@@ -390,105 +306,76 @@ func NewGNNIterator(t *rtree.Tree, qs []geom.Point, opt Options) (*GNNIterator, 
 	}
 	it.closed = false
 	it.heap.Reset()
-	it.ph.Reset()
-	if t.Len() > 0 {
-		if it.rd.Packed() != nil {
-			it.pushNodePacked(it.rd.PackedRoot())
-		} else {
-			it.pushNode(it.rd.Root())
-		}
+	if p.Len() > 0 {
+		it.pushNode(it.rd.Root())
 	}
 	return it, nil
 }
 
-func (it *GNNIterator) pushNode(nd rtree.Node) {
-	n := len(it.qs)
-	for _, e := range nd.Entries() {
-		if !regionIntersects(it.opt.Region, e.Rect) {
-			continue
-		}
-		if e.IsLeafEntry() {
-			if !regionAllows(it.opt.Region, e.Point) {
-				continue
-			}
-			key := quickPointLBW(it.opt.Aggregate, e.Point, it.qmbr, n, it.w)
-			if it.mebp != nil {
-				// Dedicated MAX path: raise the key to the MEB bound. Keys
-				// only rise, and every key still lower-bounds the exact
-				// distance, so emission order stays exact while far
-				// candidates surface later — or never.
-				if mb := it.mebp.pointBound(e.Point); mb > key {
-					key = mb
-				}
-			}
-			it.heap.Push(gnnItem{e, pointCheap}, key)
-		} else {
-			key := quickNodeLBW(it.opt.Aggregate, e.Rect, it.qmbr, n, it.w)
-			if it.mebp != nil {
-				if mb := it.mebp.nodeBound(e.Rect); mb > key {
-					key = mb
-				}
-			}
-			it.heap.Push(gnnItem{e, nodeCheap}, key)
-		}
-	}
-}
-
-// pushNodePacked enqueues node nd's slots with their heuristic-2 keys,
-// derived from one fused mindist pass over the SoA arrays — the same
-// values quickPointLBW/quickNodeLBW produce entry by entry.
-func (it *GNNIterator) pushNodePacked(nd int32) {
+// pushNode enqueues node nd's slots with their heuristic-2 keys, derived
+// from one fused mindist pass over the SoA arrays. A constrained query
+// skips the slots outside its region (subtrees that cannot hold a
+// qualifying point, points that do not qualify).
+func (it *GNNIterator) pushNode(nd int32) {
 	p := it.rd.Packed()
 	s, e := p.NodeRange(nd)
 	cnt := int(e - s)
 	it.dbuf = grow(it.dbuf, cnt)
 	n := len(it.qs)
-	if p.IsLeaf(nd) {
+	leaf := p.IsLeaf(nd)
+	state := nodeCheap
+	if leaf {
+		state = pointCheap
 		geom.MinDistSqPointsRect(p.PointSoA(), int(s), int(e), it.qmbr, it.dbuf)
-		if it.mebp != nil {
-			// Dedicated MAX path: one more fused pass yields the squared
-			// center distances, and each key is raised to the MEB bound —
-			// the same values pushNode computes entry by entry.
-			it.dbuf2 = grow(it.dbuf2, cnt)
-			geom.DistSqPointsPoint(p.PointSoA(), int(s), int(e), it.mebp.c, it.dbuf2)
-		}
-		for i := 0; i < cnt; i++ {
-			key := quickLBFromMindist(it.opt.Aggregate, math.Sqrt(it.dbuf[i]), n, it.w)
-			if it.mebp != nil {
-				if mb := it.mebp.fromMindistSq(it.dbuf2[i]); mb > key {
-					key = mb
-				}
-			}
-			it.ph.Push(pgnnItem{rtree.LeafRef(s + int32(i)), pointCheap}, key)
-		}
-		return
+	} else {
+		lo, hi := p.RectSoA()
+		geom.MinDistSqRectsRect(lo, hi, int(s), int(e), it.qmbr, it.dbuf)
 	}
-	lo, hi := p.RectSoA()
-	geom.MinDistSqRectsRect(lo, hi, int(s), int(e), it.qmbr, it.dbuf)
 	if it.mebp != nil {
+		// Dedicated MAX path: one more fused pass yields the squared
+		// centre distances from which each key is raised to the MEB
+		// bound. Keys only rise, and every key still lower-bounds the
+		// exact distance, so emission order stays exact while far
+		// candidates surface later — or never.
 		it.dbuf2 = grow(it.dbuf2, cnt)
-		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), it.mebp.c, it.dbuf2)
+		if leaf {
+			geom.DistSqPointsPoint(p.PointSoA(), int(s), int(e), it.mebp.c, it.dbuf2)
+		} else {
+			lo, hi := p.RectSoA()
+			geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), it.mebp.c, it.dbuf2)
+		}
 	}
+	region := it.opt.Region
 	for i := 0; i < cnt; i++ {
+		ref := rtree.LeafRef(s + int32(i))
+		if !leaf {
+			ref = rtree.NodeRef(s + int32(i))
+		}
+		if region != nil && !regionAdmits(region, p, ref) {
+			continue
+		}
 		key := quickLBFromMindist(it.opt.Aggregate, math.Sqrt(it.dbuf[i]), n, it.w)
 		if it.mebp != nil {
 			if mb := it.mebp.fromMindistSq(it.dbuf2[i]); mb > key {
 				key = mb
 			}
 		}
-		it.ph.Push(pgnnItem{rtree.NodeRef(s + int32(i)), nodeCheap}, key)
+		it.heap.Push(gnnItem{ref, state}, key)
 	}
 }
 
-// nextPacked is Next over the packed arena: the same lazy key-tightening
-// state machine, driven by refs instead of entries.
-func (it *GNNIterator) nextPacked() (GroupNeighbor, bool) {
+// Next returns the next group nearest neighbor; ok is false when the data
+// set is exhausted or the iterator has been closed.
+func (it *GNNIterator) Next() (GroupNeighbor, bool) {
+	if it.closed {
+		return GroupNeighbor{}, false
+	}
 	p := it.rd.Packed()
 	for {
 		if it.opt.Cancel.Stop() {
 			return GroupNeighbor{}, false
 		}
-		item, ok := it.ph.Pop()
+		item, ok := it.heap.Pop()
 		if !ok {
 			return GroupNeighbor{}, false
 		}
@@ -506,69 +393,21 @@ func (it *GNNIterator) nextPacked() (GroupNeighbor, bool) {
 			}
 			it.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
 			exact := aggDistSoA(it.opt.Aggregate, p.LeafPoint(slot), it.gq, it.w)
-			it.ph.Push(pgnnItem{item.Value.ref, pointExact}, exact)
+			it.heap.Push(gnnItem{item.Value.ref, pointExact}, exact)
 		case nodeCheap:
 			if !it.opt.DisableHeuristic3 {
 				p.RectInto(slot, &it.prect)
 				tight := nodeLBSoA(it.opt.Aggregate, it.prect, it.gq, it.w)
 				if tight > item.Priority {
-					it.ph.Push(pgnnItem{item.Value.ref, nodeTight}, tight)
+					it.heap.Push(gnnItem{item.Value.ref, nodeTight}, tight)
 					continue
 				}
 			}
 			it.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-			it.pushNodePacked(it.rd.PackedChild(slot))
+			it.pushNode(it.rd.Child(slot))
 		case nodeTight:
 			it.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-			it.pushNodePacked(it.rd.PackedChild(slot))
-		}
-	}
-}
-
-// Next returns the next group nearest neighbor; ok is false when the data
-// set is exhausted or the iterator has been closed.
-func (it *GNNIterator) Next() (GroupNeighbor, bool) {
-	if it.closed {
-		return GroupNeighbor{}, false
-	}
-	if it.rd.Packed() != nil {
-		return it.nextPacked()
-	}
-	for {
-		if it.opt.Cancel.Stop() {
-			return GroupNeighbor{}, false
-		}
-		item, ok := it.heap.Pop()
-		if !ok {
-			return GroupNeighbor{}, false
-		}
-		switch item.Value.state {
-		case pointExact:
-			return GroupNeighbor{
-				Point: item.Value.e.Point,
-				ID:    item.Value.e.ID,
-				Dist:  item.Priority,
-			}, true
-		case pointCheap:
-			if rej := it.opt.Reject; rej != nil && rej(item.Value.e.Point, item.Value.e.ID) {
-				continue // tombstoned: drop before the exact-distance stage
-			}
-			it.opt.Trace.add(func(tr *Trace) { tr.ExactDistances++ })
-			exact := aggDistSoA(it.opt.Aggregate, item.Value.e.Point, it.gq, it.w)
-			it.heap.Push(gnnItem{item.Value.e, pointExact}, exact)
-		case nodeCheap:
-			if !it.opt.DisableHeuristic3 {
-				tight := nodeLBSoA(it.opt.Aggregate, item.Value.e.Rect, it.gq, it.w)
-				if tight > item.Priority {
-					it.heap.Push(gnnItem{item.Value.e, nodeTight}, tight)
-					continue
-				}
-			}
-			it.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-			it.pushNode(it.rd.Child(item.Value.e))
-		case nodeTight:
-			it.opt.Trace.add(func(tr *Trace) { tr.NodesVisited++ })
-			it.pushNode(it.rd.Child(item.Value.e))
+			it.pushNode(it.rd.Child(slot))
 		}
 	}
 }
@@ -578,9 +417,6 @@ func (it *GNNIterator) Next() (GroupNeighbor, bool) {
 func (it *GNNIterator) PeekDist() (float64, bool) {
 	if it.closed {
 		return 0, false
-	}
-	if it.rd.Packed() != nil {
-		return it.ph.MinPriority()
 	}
 	return it.heap.MinPriority()
 }
@@ -604,6 +440,5 @@ func (it *GNNIterator) Close() {
 	it.meb = mebCtx{}
 	it.mebs.Reset()
 	it.heap.Reset()
-	it.ph.Reset()
 	gnnIterPool.Put(it)
 }

@@ -17,9 +17,9 @@ import (
 // retrieved for q_i; the algorithm stops when the combined threshold
 // T = agg(t_1..t_n) reaches best_dist, since every unseen point p has
 // |p q_i| ≥ t_i for all i and therefore dist(p,Q) ≥ T.
-func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+func MQM(p *rtree.Packed, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
+	if err := validate(p, qs, opt); err != nil {
 		return nil, err
 	}
 	w, err := newWeightCtx(opt.Weights, len(qs))
@@ -34,10 +34,9 @@ func MQM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
-	// MQM's per-point NN streams never consult the region (it filters
-	// results point by point), so the packed layout serves constrained
-	// queries too.
-	rd := rtree.ReaderOver(t, opt.packedFor(t, true), opt.Cost)
+	// MQM's per-point NN streams never consult the region: it filters
+	// results point by point.
+	rd := p.Reader(opt.Cost)
 	ec.iters = grow(ec.iters, n)
 	iters := ec.iters
 	for i, q := range qs {

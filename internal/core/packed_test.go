@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"gnn/internal/geom"
@@ -11,50 +13,85 @@ import (
 	"gnn/internal/rtree"
 )
 
-// Differential suite for the packed SoA layout: every algorithm must
-// return byte-identical results AND charge byte-identical per-query costs
-// (logical and physical node accesses, buffer hits) on both layouts. This
-// is strict equality, not tolerance: the fused kernels reproduce the
-// scalar floating-point ops exactly, so any divergence is a bug.
+// Differential suite for the two origins of a packed arena: every
+// algorithm must return byte-identical results AND charge byte-identical
+// per-query costs (logical and physical node accesses, buffer hits) and
+// trace counters on an arena built by Pack and on the same arena decoded
+// from its snapshot — the arena every OpenSnapshot serves. This is strict
+// equality, not tolerance. The answers must also match a brute-force
+// oracle, and the region-constrained cells exercise the region pruning
+// inside the MBM, SPM and iterator traversals.
 
-// diffRun answers the same query on the dynamic and packed layouts and
-// fails on any divergence in results, per-query cost, or trace counters.
-func diffRun(t *testing.T, name string, packed *rtree.Packed,
-	run func(Options) ([]GroupNeighbor, error), opt Options) {
+// loadedCopy round-trips the arena through its snapshot encoding.
+func loadedCopy(t testing.TB, p *rtree.Packed) *rtree.Packed {
 	t.Helper()
-	var dtk, ptk pagestore.CostTracker
-	var dtr, ptr Trace
+	var buf bytes.Buffer
+	if _, err := p.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var lp rtree.Packed
+	if _, err := lp.ReadFrom(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return &lp
+}
 
-	opt.Packed = nil
-	opt.Cost = &dtk
-	opt.Trace = &dtr
-	dyn, err := run(opt)
+// diffRun answers the same query on the built and the loaded arena and
+// fails on any divergence in results, per-query cost, or trace counters.
+// It returns the built arena's results.
+func diffRun(t *testing.T, name string, p, lp *rtree.Packed,
+	run func(*rtree.Packed, Options) ([]GroupNeighbor, error), opt Options) []GroupNeighbor {
+	t.Helper()
+	var btk, ltk pagestore.CostTracker
+	var btr, ltr Trace
+
+	opt.Cost = &btk
+	opt.Trace = &btr
+	built, err := run(p, opt)
 	if err != nil {
-		t.Fatalf("%s (dynamic): %v", name, err)
+		t.Fatalf("%s (built): %v", name, err)
 	}
-	opt.Packed = packed
-	opt.Cost = &ptk
-	opt.Trace = &ptr
-	pkd, err := run(opt)
+	opt.Cost = &ltk
+	opt.Trace = &ltr
+	loaded, err := run(lp, opt)
 	if err != nil {
-		t.Fatalf("%s (packed): %v", name, err)
+		t.Fatalf("%s (loaded): %v", name, err)
 	}
-	if !reflect.DeepEqual(dyn, pkd) {
-		t.Fatalf("%s: results diverged between layouts\ndynamic: %v\npacked:  %v", name, dyn, pkd)
+	if !reflect.DeepEqual(built, loaded) {
+		t.Fatalf("%s: results diverged between arenas\nbuilt:  %v\nloaded: %v", name, built, loaded)
 	}
-	if dtk != ptk {
-		t.Fatalf("%s: per-query cost diverged\ndynamic: %+v\npacked:  %+v", name, dtk, ptk)
+	if btk != ltk {
+		t.Fatalf("%s: per-query cost diverged\nbuilt:  %+v\nloaded: %+v", name, btk, ltk)
 	}
-	if dtr != ptr {
-		t.Fatalf("%s: trace diverged\ndynamic: %+v\npacked:  %+v", name, dtr, ptr)
+	if btr != ltr {
+		t.Fatalf("%s: trace diverged\nbuilt:  %+v\nloaded: %+v", name, btr, ltr)
 	}
+	return built
+}
+
+// regionOracle is the brute-force answer over pts (ids are slice indexes)
+// honouring aggregate, weights and region; k <= 0 returns every point.
+func regionOracle(pts, qs []geom.Point, opt Options, k int) []GroupNeighbor {
+	w, _ := newWeightCtx(opt.Weights, len(qs))
+	var all []GroupNeighbor
+	for i, p := range pts {
+		if regionAllows(opt.Region, p) {
+			all = append(all, GroupNeighbor{Point: p, ID: int64(i), Dist: aggDistW(opt.Aggregate, p, qs, w)})
+		}
+	}
+	sort.SliceStable(all, func(i, j int) bool { return all[i].Dist < all[j].Dist })
+	if k > 0 && k < len(all) {
+		all = all[:k]
+	}
+	return all
 }
 
 func TestPackedEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	pts := clusteredPts(rng, 3000, 1000)
-	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
+	p := buildTree(t, pts, 16)
+	lp := loadedCopy(t, p)
+	region := geom.NewRect(geom.Point{200, 150}, geom.Point{750, 800})
 
 	for trial := 0; trial < 12; trial++ {
 		n := []int{1, 3, 8, 32}[trial%4]
@@ -73,90 +110,116 @@ func TestPackedEquivalence(t *testing.T) {
 		k := []int{1, 4, 9}[trial%3]
 		for _, agg := range []Aggregate{Sum, Max, Min} {
 			opt := Options{K: k, Aggregate: agg, Weights: weights}
+			if trial%3 == 2 {
+				opt.Region = &region
+			}
 			type cell struct {
 				name string
-				run  func(Options) ([]GroupNeighbor, error)
+				run  func(*rtree.Packed, Options) ([]GroupNeighbor, error)
 				sum  bool
 			}
-			cells := []cell{
-				{"BruteForce", func(o Options) ([]GroupNeighbor, error) { return BruteForce(tr, qs, o) }, false},
-				{"MQM", func(o Options) ([]GroupNeighbor, error) { return MQM(tr, qs, o) }, false},
-				{"MBM-BF", func(o Options) ([]GroupNeighbor, error) { return MBM(tr, qs, o) }, false},
-				{"MBM-DF", func(o Options) ([]GroupNeighbor, error) {
+			df := func(kern func(*rtree.Packed, []geom.Point, Options) ([]GroupNeighbor, error)) func(*rtree.Packed, Options) ([]GroupNeighbor, error) {
+				return func(p *rtree.Packed, o Options) ([]GroupNeighbor, error) {
 					o.Traversal = DepthFirst
-					return MBM(tr, qs, o)
-				}, false},
-				{"SPM-BF", func(o Options) ([]GroupNeighbor, error) { return SPM(tr, qs, o) }, true},
-				{"SPM-DF", func(o Options) ([]GroupNeighbor, error) {
-					o.Traversal = DepthFirst
-					return SPM(tr, qs, o)
-				}, true},
+					return kern(p, qs, o)
+				}
 			}
+			bf := func(kern func(*rtree.Packed, []geom.Point, Options) ([]GroupNeighbor, error)) func(*rtree.Packed, Options) ([]GroupNeighbor, error) {
+				return func(p *rtree.Packed, o Options) ([]GroupNeighbor, error) { return kern(p, qs, o) }
+			}
+			cells := []cell{
+				{"BruteForce", bf(BruteForce), false},
+				{"MQM", bf(MQM), false},
+				{"MBM-BF", bf(MBM), false},
+				{"MBM-DF", df(MBM), false},
+				{"SPM-BF", bf(SPM), true},
+				{"SPM-DF", df(SPM), true},
+			}
+			want := regionOracle(pts, qs, opt, k)
 			for _, c := range cells {
 				if c.sum && agg != Sum {
 					continue
 				}
-				name := fmt.Sprintf("trial%d/%s/%v/k=%d/weighted=%v", trial, c.name, agg, k, weights != nil)
-				diffRun(t, name, packed, c.run, opt)
+				name := fmt.Sprintf("trial%d/%s/%v/k=%d/weighted=%v/region=%v",
+					trial, c.name, agg, k, weights != nil, opt.Region != nil)
+				oracleEquiv(t, name, diffRun(t, name, p, lp, c.run, opt), want)
 			}
 		}
 	}
 }
 
 // TestPackedEquivalenceIterator steps the incremental GNN scan in
-// lockstep on both layouts, comparing every emitted neighbor, every peek
-// bound and the running cost.
+// lockstep on the built and the loaded arena, comparing every emitted
+// neighbor, every peek bound and the running cost, and checks the stream
+// against the oracle's full ranking.
 func TestPackedEquivalenceIterator(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	pts := clusteredPts(rng, 2000, 800)
-	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
+	p := buildTree(t, pts, 16)
+	lp := loadedCopy(t, p)
+	region := geom.NewRect(geom.Point{100, 100}, geom.Point{500, 600})
 
 	for _, agg := range []Aggregate{Sum, Max, Min} {
-		qs := make([]geom.Point, 6)
-		for i := range qs {
-			qs[i] = geom.Point{rng.Float64() * 800, rng.Float64() * 800}
-		}
-		var dtk, ptk pagestore.CostTracker
-		di, err := NewGNNIterator(tr, qs, Options{Aggregate: agg, Cost: &dtk})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pi, err := NewGNNIterator(tr, qs, Options{Aggregate: agg, Cost: &ptk, Packed: packed})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 300; i++ {
-			dp, dpo := di.PeekDist()
-			pp, ppo := pi.PeekDist()
-			if dp != pp || dpo != ppo {
-				t.Fatalf("agg %v: peek diverged at %d: %v/%v vs %v/%v", agg, i, dp, dpo, pp, ppo)
+		for _, constrained := range []bool{false, true} {
+			qs := make([]geom.Point, 6)
+			for i := range qs {
+				qs[i] = geom.Point{rng.Float64() * 800, rng.Float64() * 800}
 			}
-			dn, dok := di.Next()
-			pn, pok := pi.Next()
-			if dok != pok || !reflect.DeepEqual(dn, pn) {
-				t.Fatalf("agg %v: stream diverged at %d:\ndynamic: %v %v\npacked:  %v %v", agg, i, dn, dok, pn, pok)
+			var btk, ltk pagestore.CostTracker
+			bopt := Options{Aggregate: agg, Cost: &btk}
+			if constrained {
+				bopt.Region = &region
 			}
-			if dtk != ptk {
-				t.Fatalf("agg %v: cost diverged at %d: %+v vs %+v", agg, i, dtk, ptk)
+			lopt := bopt
+			lopt.Cost = &ltk
+			bi, err := NewGNNIterator(p, qs, bopt)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if !dok {
-				break
+			li, err := NewGNNIterator(lp, qs, lopt)
+			if err != nil {
+				t.Fatal(err)
 			}
+			want := regionOracle(pts, qs, bopt, 0)
+			var got []GroupNeighbor
+			for i := 0; i < 300; i++ {
+				bp, bpo := bi.PeekDist()
+				lpk, lpo := li.PeekDist()
+				if bp != lpk || bpo != lpo {
+					t.Fatalf("agg %v region=%v: peek diverged at %d: %v/%v vs %v/%v", agg, constrained, i, bp, bpo, lpk, lpo)
+				}
+				bn, bok := bi.Next()
+				ln, lok := li.Next()
+				if bok != lok || !reflect.DeepEqual(bn, ln) {
+					t.Fatalf("agg %v region=%v: stream diverged at %d:\nbuilt:  %v %v\nloaded: %v %v", agg, constrained, i, bn, bok, ln, lok)
+				}
+				if btk != ltk {
+					t.Fatalf("agg %v region=%v: cost diverged at %d: %+v vs %+v", agg, constrained, i, btk, ltk)
+				}
+				if !bok {
+					break
+				}
+				got = append(got, bn)
+			}
+			if len(want) > len(got) {
+				want = want[:len(got)]
+			}
+			oracleEquiv(t, fmt.Sprintf("iterator/%v/region=%v", agg, constrained), got, want)
+			bi.Close()
+			li.Close()
 		}
-		di.Close()
-		pi.Close()
 	}
 }
 
 // TestPackedEquivalenceDisk covers the disk-resident family: F-MQM (whose
-// per-block streams ride the packed GNNIterator) and F-MBM in both
-// traversals, comparing neighbors, rounds and combined I/O cost.
+// per-block streams ride the GNNIterator) and F-MBM in both traversals,
+// comparing neighbors, rounds and combined I/O cost between the built
+// and the loaded arena, and the neighbors against the oracle.
 func TestPackedEquivalenceDisk(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	pts := clusteredPts(rng, 2500, 1000)
-	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
+	p := buildTree(t, pts, 16)
+	lp := loadedCopy(t, p)
 
 	for trial := 0; trial < 4; trial++ {
 		nq := []int{40, 120, 400, 800}[trial]
@@ -166,83 +229,71 @@ func TestPackedEquivalenceDisk(t *testing.T) {
 			qpts[i] = geom.Point{base[0] + rng.Float64()*300, base[1] + rng.Float64()*300}
 		}
 		k := []int{1, 5}[trial%2]
+		want, err := BruteForcePoints(pts, qpts, Options{K: k})
+		if err != nil {
+			t.Fatal(err)
+		}
 
 		type cell struct {
 			name string
-			run  func(Options) (*DiskReport, error)
+			run  func(*rtree.Packed, Options) (*DiskReport, error)
+		}
+		queryFile := func() (*QueryFile, error) {
+			return NewQueryFile(qpts, 50, pagestore.NewAccountant(0), 1<<40)
 		}
 		cells := []cell{
-			{"F-MQM", func(o Options) (*DiskReport, error) {
-				qf, err := NewQueryFile(qpts, 50, pagestore.NewAccountant(0), 1<<40)
+			{"F-MQM", func(p *rtree.Packed, o Options) (*DiskReport, error) {
+				qf, err := queryFile()
 				if err != nil {
 					return nil, err
 				}
-				return FMQM(tr, qf, DiskOptions{Options: o})
+				return FMQM(p, qf, DiskOptions{Options: o})
 			}},
-			{"F-MBM-BF", func(o Options) (*DiskReport, error) {
-				qf, err := NewQueryFile(qpts, 50, pagestore.NewAccountant(0), 1<<40)
+			{"F-MBM-BF", func(p *rtree.Packed, o Options) (*DiskReport, error) {
+				qf, err := queryFile()
 				if err != nil {
 					return nil, err
 				}
-				return FMBM(tr, qf, DiskOptions{Options: o})
+				return FMBM(p, qf, DiskOptions{Options: o})
 			}},
-			{"F-MBM-DF", func(o Options) (*DiskReport, error) {
+			{"F-MBM-DF", func(p *rtree.Packed, o Options) (*DiskReport, error) {
 				o.Traversal = DepthFirst
-				qf, err := NewQueryFile(qpts, 50, pagestore.NewAccountant(0), 1<<40)
+				qf, err := queryFile()
 				if err != nil {
 					return nil, err
 				}
-				return FMBM(tr, qf, DiskOptions{Options: o})
+				return FMBM(p, qf, DiskOptions{Options: o})
 			}},
 		}
 		for _, c := range cells {
 			name := fmt.Sprintf("trial%d/%s/k=%d", trial, c.name, k)
-			var dtk, ptk pagestore.CostTracker
-			drep, err := c.run(Options{K: k, Cost: &dtk})
+			var btk, ltk pagestore.CostTracker
+			brep, err := c.run(p, Options{K: k, Cost: &btk})
 			if err != nil {
-				t.Fatalf("%s (dynamic): %v", name, err)
+				t.Fatalf("%s (built): %v", name, err)
 			}
-			prep, err := c.run(Options{K: k, Cost: &ptk, Packed: packed})
+			lrep, err := c.run(lp, Options{K: k, Cost: &ltk})
 			if err != nil {
-				t.Fatalf("%s (packed): %v", name, err)
+				t.Fatalf("%s (loaded): %v", name, err)
 			}
-			if !reflect.DeepEqual(drep.Neighbors, prep.Neighbors) {
-				t.Fatalf("%s: neighbors diverged\ndynamic: %v\npacked:  %v", name, drep.Neighbors, prep.Neighbors)
+			if !reflect.DeepEqual(brep.Neighbors, lrep.Neighbors) {
+				t.Fatalf("%s: neighbors diverged\nbuilt:  %v\nloaded: %v", name, brep.Neighbors, lrep.Neighbors)
 			}
-			if drep.Rounds != prep.Rounds {
-				t.Fatalf("%s: rounds %d vs %d", name, drep.Rounds, prep.Rounds)
+			if brep.Rounds != lrep.Rounds {
+				t.Fatalf("%s: rounds %d vs %d", name, brep.Rounds, lrep.Rounds)
 			}
-			if drep.Cost != prep.Cost {
-				t.Fatalf("%s: cost diverged\ndynamic: %+v\npacked:  %+v", name, drep.Cost, prep.Cost)
+			if brep.Cost != lrep.Cost {
+				t.Fatalf("%s: cost diverged\nbuilt:  %+v\nloaded: %+v", name, brep.Cost, lrep.Cost)
 			}
+			oracleEquiv(t, name, brep.Neighbors, want)
 		}
 	}
 }
 
-// TestPackedStaleFallsBack checks that a stale snapshot (tree mutated
-// after Pack) silently degrades to the dynamic layout with correct
-// results including the new point.
-func TestPackedStaleFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(44))
-	pts := clusteredPts(rng, 500, 300)
-	tr := buildTree(t, pts, 16)
-	packed := tr.Pack()
-	target := geom.Point{1e6, 1e6}
-	if err := tr.Insert(target, 777_777); err != nil {
-		t.Fatal(err)
-	}
-	got, err := MBM(tr, []geom.Point{{1e6, 1e6}}, Options{Packed: packed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 || got[0].ID != 777_777 {
-		t.Fatalf("stale-snapshot query missed the inserted point: %v", got)
-	}
-}
-
-// FuzzPackedEquivalence fuzzes the packed/dynamic differential across
-// dataset shape, group size, k, aggregate and traversal. Any result or
-// cost divergence crashes the fuzz target.
+// FuzzPackedEquivalence fuzzes the built/loaded differential and the
+// oracle check across dataset shape, group size, k, aggregate, traversal
+// and — on even seeds — a region constraint. Any result or cost
+// divergence crashes the fuzz target.
 func FuzzPackedEquivalence(f *testing.F) {
 	f.Add(int64(1), uint16(300), uint8(4), uint8(2), uint8(0), false)
 	f.Add(int64(2), uint16(60), uint8(1), uint8(1), uint8(1), true)
@@ -252,8 +303,8 @@ func FuzzPackedEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		np := int(n)%1200 + 1
 		pts := clusteredPts(rng, np, 500)
-		tr := buildTree(t, pts, 8)
-		packed := tr.Pack()
+		p := buildTree(t, pts, 8)
+		lp := loadedCopy(t, p)
 		qs := make([]geom.Point, int(groupSize)%24+1)
 		for i := range qs {
 			qs[i] = geom.Point{rng.Float64() * 600, rng.Float64() * 600}
@@ -265,16 +316,23 @@ func FuzzPackedEquivalence(f *testing.F) {
 		if df {
 			opt.Traversal = DepthFirst
 		}
-		diffRun(t, "fuzz/MBM", packed, func(o Options) ([]GroupNeighbor, error) {
-			return MBM(tr, qs, o)
-		}, opt)
-		diffRun(t, "fuzz/MQM", packed, func(o Options) ([]GroupNeighbor, error) {
-			return MQM(tr, qs, o)
-		}, opt)
-		if opt.Aggregate == Sum {
-			diffRun(t, "fuzz/SPM", packed, func(o Options) ([]GroupNeighbor, error) {
-				return SPM(tr, qs, o)
+		if seed%2 == 0 {
+			region := geom.NewRect(geom.Point{100, 50}, geom.Point{350, 450})
+			opt.Region = &region
+		}
+		want := regionOracle(pts, qs, opt, opt.K)
+		kernels := []struct {
+			name string
+			kern func(*rtree.Packed, []geom.Point, Options) ([]GroupNeighbor, error)
+		}{{"MBM", MBM}, {"MQM", MQM}, {"SPM", SPM}}
+		for _, c := range kernels {
+			if c.name == "SPM" && opt.Aggregate != Sum {
+				continue
+			}
+			got := diffRun(t, "fuzz/"+c.name, p, lp, func(p *rtree.Packed, o Options) ([]GroupNeighbor, error) {
+				return c.kern(p, qs, o)
 			}, opt)
+			oracleEquiv(t, "fuzz/"+c.name, got, want)
 		}
 	})
 }

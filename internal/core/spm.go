@@ -20,9 +20,9 @@ import (
 //
 // The lemma is specific to the SUM aggregate; SPM returns
 // ErrUnsupportedAggregate for MAX and MIN.
-func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
+func SPM(p *rtree.Packed, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	opt = opt.withDefaults()
-	if err := validate(t, qs, opt); err != nil {
+	if err := validate(p, qs, opt); err != nil {
 		return nil, err
 	}
 	if opt.Aggregate != Sum {
@@ -48,18 +48,13 @@ func SPM(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, error) {
 	ec, owned := opt.exec()
 	defer releaseIfOwned(ec, owned)
 	best := ec.kbestShared(opt.K, opt.Shared, opt.Reject)
-	if t.Len() > 0 {
-		run := spmRun{rd: rtree.ReaderOver(t, opt.packedFor(t, false), opt.Cost),
+	if p.Len() > 0 {
+		run := spmRun{rd: p.Reader(opt.Cost),
 			qs: qs, gq: ec.groupSoA(qs), q: q, dq: dq, n: n, w: w, region: opt.Region,
 			best: best, ec: ec, cancel: opt.Cancel, trace: opt.Trace}
-		switch {
-		case run.rd.Packed() != nil && opt.Traversal == DepthFirst:
-			run.dfPacked(run.rd.PackedRoot(), 0)
-		case run.rd.Packed() != nil:
-			run.bfPacked()
-		case opt.Traversal == DepthFirst:
+		if opt.Traversal == DepthFirst {
 			run.df(run.rd.Root(), 0)
-		default:
+		} else {
 			run.bf()
 		}
 	}
@@ -108,35 +103,25 @@ func (r *spmRun) threshold() float64 {
 	return (r.best.bound() + r.dq) / r.n
 }
 
-// offer evaluates a data point against the region constraint and the
-// exact (weighted) group distance.
-func (r *spmRun) offer(e rtree.Entry) {
-	if !regionAllows(r.region, e.Point) {
+// offer evaluates leaf slot against the region constraint and the exact
+// (weighted) group distance.
+func (r *spmRun) offer(p *rtree.Packed, slot int32) {
+	pt := p.LeafPoint(slot)
+	if !regionAllows(r.region, pt) {
 		return
 	}
 	if r.trace != nil {
 		r.trace.ExactDistances++
 	}
 	r.best.offer(GroupNeighbor{
-		Point: e.Point, ID: e.ID,
-		Dist: aggDistSoA(Sum, e.Point, r.gq, r.w),
+		Point: pt, ID: p.LeafID(slot),
+		Dist: aggDistSoA(Sum, pt, r.gq, r.w),
 	})
 }
 
 // tracePrunedH1 classifies candidates cut by heuristic 1 into node and
 // point counters. Only runs with a trace attached.
 func (r *spmRun) tracePrunedH1(cands []rtree.Cand) {
-	for i := range cands {
-		if cands[i].E.IsLeafEntry() {
-			r.trace.PointsPrunedH1++
-		} else {
-			r.trace.NodesPrunedH1++
-		}
-	}
-}
-
-// tracePrunedH1Packed is tracePrunedH1 over packed int32 refs.
-func (r *spmRun) tracePrunedH1Packed(cands []rtree.PCand) {
 	for i := range cands {
 		if _, isPoint := rtree.RefSlot(cands[i].Ref); isPoint {
 			r.trace.PointsPrunedH1++
@@ -148,49 +133,12 @@ func (r *spmRun) tracePrunedH1Packed(cands []rtree.PCand) {
 
 // df is the depth-first variant of Figure 3.4: entries sorted by mindist
 // to the centroid (per-depth pooled buffer, inlined insertion sort),
-// recursion pruned by heuristic 1.
-func (r *spmRun) df(nd rtree.Node, depth int) {
-	if r.cancel.Stop() {
-		return
-	}
-	if r.trace != nil {
-		r.trace.NodesVisited++
-	}
-	buf := r.ec.cands.Level(depth)
-	cands := *buf
-	for _, e := range nd.Entries() {
-		var d float64 // mindist(entry, centroid)
-		if e.IsLeafEntry() {
-			d = geom.Dist(r.q, e.Point)
-		} else {
-			d = geom.MinDistPointRect(r.q, e.Rect)
-		}
-		cands = append(cands, rtree.Cand{E: e, D: d})
-	}
-	rtree.SortCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if c.D >= r.threshold() {
-			if r.trace != nil {
-				r.tracePrunedH1(cands[i:])
-			}
-			return // heuristic 1 prunes this and all later entries
-		}
-		if c.E.IsLeafEntry() {
-			r.offer(c.E)
-		} else if regionIntersects(r.region, c.E.Rect) {
-			r.df(r.rd.Child(c.E), depth+1)
-		}
-	}
-}
-
-// dfPacked is df over the packed arena: the mindist-to-centroid keys of a
+// recursion pruned by heuristic 1. The mindist-to-centroid keys of a
 // whole node come from one fused pass over the SoA arrays (square rooted
-// to the real distances heuristic 1 is stated in), candidates are int32
-// refs. The packed path runs only for unconstrained queries, so the
-// region checks of df vanish rather than branch.
-func (r *spmRun) dfPacked(nd int32, depth int) {
+// to the real distances heuristic 1 is stated in). A constrained query
+// keeps every entry in the sorted list, so heuristic 1 sees the same
+// frontier, and filters at the offer and at the descent.
+func (r *spmRun) df(nd int32, depth int) {
 	if r.cancel.Stop() {
 		return
 	}
@@ -209,44 +157,42 @@ func (r *spmRun) dfPacked(nd int32, depth int) {
 		lo, hi := p.RectSoA()
 		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), r.q, d)
 	}
-	buf := r.ec.pcands.Level(depth)
+	buf := r.ec.cands.Level(depth)
 	cands := *buf
 	for i := 0; i < cnt; i++ {
 		ref := rtree.LeafRef(s + int32(i))
 		if !leaf {
 			ref = rtree.NodeRef(s + int32(i))
 		}
-		cands = append(cands, rtree.PCand{Ref: ref, D: math.Sqrt(d[i])})
+		cands = append(cands, rtree.Cand{Ref: ref, D: math.Sqrt(d[i])})
 	}
-	rtree.SortPCands(cands)
+	rtree.SortCands(cands)
 	*buf = cands
 	for i := range cands {
 		c := cands[i]
 		if c.D >= r.threshold() {
 			if r.trace != nil {
-				r.tracePrunedH1Packed(cands[i:])
+				r.tracePrunedH1(cands[i:])
 			}
 			return // heuristic 1 prunes this and all later entries
 		}
 		if slot, isPoint := rtree.RefSlot(c.Ref); isPoint {
-			if r.trace != nil {
-				r.trace.ExactDistances++
-			}
-			pt := p.LeafPoint(slot)
-			r.best.offer(GroupNeighbor{
-				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(Sum, pt, r.gq, r.w),
-			})
-		} else {
-			r.dfPacked(r.rd.PackedChild(slot), depth+1)
+			r.offer(p, slot)
+		} else if r.region == nil || p.RectIntersects(slot, *r.region) {
+			r.df(r.rd.Child(slot), depth+1)
 		}
 	}
 }
 
-// bfPacked is bf over the packed arena, with the int32 ref heap.
-func (r *spmRun) bfPacked() {
+// bf is the best-first variant: a single priority queue (pooled with the
+// execution context) over int32 refs keyed by mindist to the centroid;
+// the first key that fails heuristic 1 ends the search, since all
+// remaining keys are at least as large. A constrained query never
+// enqueues a subtree outside its region; points are filtered at the
+// offer.
+func (r *spmRun) bf() {
 	p := r.rd.Packed()
-	heap := &r.ec.peheap
+	heap := &r.ec.heap
 	heap.Reset()
 	push := func(nd int32) {
 		if r.trace != nil {
@@ -266,10 +212,13 @@ func (r *spmRun) bfPacked() {
 		lo, hi := p.RectSoA()
 		geom.MinDistSqRectsPoint(lo, hi, int(s), int(e), r.q, d)
 		for i := 0; i < cnt; i++ {
-			heap.Push(rtree.NodeRef(s+int32(i)), math.Sqrt(d[i]))
+			slot := s + int32(i)
+			if r.region == nil || p.RectIntersects(slot, *r.region) {
+				heap.Push(rtree.NodeRef(slot), math.Sqrt(d[i]))
+			}
 		}
 	}
-	push(r.rd.PackedRoot())
+	push(r.rd.Root())
 	for {
 		if r.cancel.Stop() {
 			return
@@ -296,67 +245,9 @@ func (r *spmRun) bfPacked() {
 			return
 		}
 		if slot, isPoint := rtree.RefSlot(item.Value); isPoint {
-			if r.trace != nil {
-				r.trace.ExactDistances++
-			}
-			pt := p.LeafPoint(slot)
-			r.best.offer(GroupNeighbor{
-				Point: pt, ID: p.LeafID(slot),
-				Dist: aggDistSoA(Sum, pt, r.gq, r.w),
-			})
+			r.offer(p, slot)
 		} else {
-			push(r.rd.PackedChild(slot))
-		}
-	}
-}
-
-// bf is the best-first variant: a single priority queue (pooled with the
-// execution context) over entries keyed by mindist to the centroid; the
-// first key that fails heuristic 1 ends the search, since all remaining
-// keys are at least as large.
-func (r *spmRun) bf() {
-	heap := &r.ec.eheap
-	heap.Reset()
-	push := func(nd rtree.Node) {
-		if r.trace != nil {
-			r.trace.NodesVisited++
-		}
-		for _, e := range nd.Entries() {
-			if e.IsLeafEntry() {
-				heap.Push(e, geom.Dist(r.q, e.Point))
-			} else if regionIntersects(r.region, e.Rect) {
-				heap.Push(e, geom.MinDistPointRect(r.q, e.Rect))
-			}
-		}
-	}
-	push(r.rd.Root())
-	for {
-		if r.cancel.Stop() {
-			return
-		}
-		item, ok := heap.Pop()
-		if !ok {
-			return
-		}
-		if item.Priority >= r.threshold() {
-			if r.trace != nil {
-				// The frontier's keys are all ≥ this one: heuristic 1 prunes
-				// every remaining entry (see bfPacked).
-				for ok {
-					if item.Value.IsLeafEntry() {
-						r.trace.PointsPrunedH1++
-					} else {
-						r.trace.NodesPrunedH1++
-					}
-					item, ok = heap.Pop()
-				}
-			}
-			return
-		}
-		if item.Value.IsLeafEntry() {
-			r.offer(item.Value)
-		} else {
-			push(r.rd.Child(item.Value))
+			push(r.rd.Child(slot))
 		}
 	}
 }

@@ -116,9 +116,9 @@ func (s *StageLog) Record(name string, shard int, d time.Duration) {
 
 // MBMTraced runs MBM and returns the trace alongside the results. It is a
 // convenience wrapper over Options.Trace.
-func MBMTraced(t *rtree.Tree, qs []geom.Point, opt Options) ([]GroupNeighbor, *Trace, error) {
+func MBMTraced(p *rtree.Packed, qs []geom.Point, opt Options) ([]GroupNeighbor, *Trace, error) {
 	trace := &Trace{}
 	opt.Trace = trace
-	res, err := MBM(t, qs, opt)
+	res, err := MBM(p, qs, opt)
 	return res, trace, err
 }

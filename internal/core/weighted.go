@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"gnn/internal/geom"
+	"gnn/internal/rtree"
 )
 
 // This file extends the paper's framework along two axes it flags as
@@ -217,8 +218,7 @@ func combineThresholdsW(a Aggregate, thresholds []float64, w *weightCtx) float64
 // in the same order as its AoS counterpart in aggDistW/nodeLBW (the 2-D
 // specialisation's dx*dx + dy*dy equals the (0+d0²)+d1² accumulation
 // bit for bit, squares being non-negative), so results, pruning and
-// node-access counts are unchanged — on both tree layouts, which share
-// these functions.
+// node-access counts are unchanged.
 
 // aggDistSoA is aggDistW over the SoA group g (g[axis][j]).
 func aggDistSoA(a Aggregate, p geom.Point, g [][]float64, w *weightCtx) float64 {
@@ -475,8 +475,14 @@ func regionAllows(region *geom.Rect, p geom.Point) bool {
 	return region == nil || region.ContainsPoint(p)
 }
 
-// regionIntersects reports whether a subtree can contain qualifying
-// points under the optional constraint region.
-func regionIntersects(region *geom.Rect, r geom.Rect) bool {
-	return region == nil || region.Intersects(r)
+// regionAdmits reports whether the packed entry ref can hold a
+// qualifying point under the non-nil constraint region: a leaf slot's
+// point lies inside it, or a routing slot's subtree rectangle intersects
+// it.
+func regionAdmits(region *geom.Rect, p *rtree.Packed, ref rtree.PackedRef) bool {
+	slot, leaf := rtree.RefSlot(ref)
+	if leaf {
+		return region.ContainsPoint(p.LeafPoint(slot))
+	}
+	return p.RectIntersects(slot, *region)
 }

@@ -107,7 +107,7 @@ func scaledBlockPoints(scale float64) int {
 
 // measureGCP builds an R*-tree over the query set (its cost excluded, as
 // in §5.2) and runs GCP, reporting the summed NA of both trees.
-func (e *Env) measureGCP(tp *rtree.Tree, qpts []geom.Point, opt core.Options) (stats.Measurement, error) {
+func (e *Env) measureGCP(tp *rtree.Packed, qpts []geom.Point, opt core.Options) (stats.Measurement, error) {
 	tq, err := e.buildTree(&dataset.Dataset{Name: "Q", Points: qpts}, 1<<40)
 	if err != nil {
 		return stats.Measurement{}, err
@@ -135,7 +135,7 @@ func (e *Env) measureGCP(tp *rtree.Tree, qpts []geom.Point, opt core.Options) (s
 
 // measureFDisk runs F-MQM or F-MBM over a fresh query file, reporting the
 // R-tree NA plus the Q page reads (both behind the configured buffer).
-func (e *Env) measureFDisk(tp *rtree.Tree, qpts []geom.Point, algo string, blockPts int, opt core.Options) (stats.Measurement, error) {
+func (e *Env) measureFDisk(tp *rtree.Packed, qpts []geom.Point, algo string, blockPts int, opt core.Options) (stats.Measurement, error) {
 	acct := pagestore.NewAccountant(e.cfg.BufferPages)
 	qf, err := core.NewQueryFile(qpts, blockPts, acct, 1<<41)
 	if err != nil {

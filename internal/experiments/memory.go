@@ -15,7 +15,7 @@ import (
 // memAlgorithm is one curve of a memory-resident figure.
 type memAlgorithm struct {
 	Name string
-	Run  func(*rtree.Tree, []geom.Point, core.Options) ([]core.GroupNeighbor, error)
+	Run  func(*rtree.Packed, []geom.Point, core.Options) ([]core.GroupNeighbor, error)
 }
 
 // paperMemAlgos are the three §3 methods in the paper's presentation
@@ -109,14 +109,14 @@ func (e *Env) runMemSweep(s memSweep) (*stats.Figure, error) {
 // buffer remark of §5.1 concerns wall time, not the NA series).
 // Correctness is cross-checked against brute force on the first query of
 // every workload (cheap tripwire).
-func measureMemory(t *rtree.Tree, queries []workload.Query, a memAlgorithm, opt core.Options) (stats.Measurement, error) {
+func measureMemory(t *rtree.Packed, queries []workload.Query, a memAlgorithm, opt core.Options) (stats.Measurement, error) {
 	return measureMemoryMetric(t, queries, a, opt, false)
 }
 
 // measureMemoryMetric implements measureMemory; usePhysical switches the
 // NA column from logical node accesses (the paper's plotted metric) to
 // physical buffer misses (what the A3 buffer ablation quantifies).
-func measureMemoryMetric(t *rtree.Tree, queries []workload.Query, a memAlgorithm, opt core.Options, usePhysical bool) (stats.Measurement, error) {
+func measureMemoryMetric(t *rtree.Packed, queries []workload.Query, a memAlgorithm, opt core.Options, usePhysical bool) (stats.Measurement, error) {
 	var elapsed time.Duration
 	var accesses int64
 	for qi, q := range queries {
@@ -195,7 +195,7 @@ func (e *Env) Fig53(ds string) (*stats.Figure, error) {
 // heuristics vs heuristic 2 alone vs SPM, sweeping n on the given dataset.
 // The footnote reports H2-only MBM inferior to SPM; full MBM superior.
 func (e *Env) AblationH2Only(ds string) (*stats.Figure, error) {
-	h2only := func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
+	h2only := func(t *rtree.Packed, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
 		opt.DisableHeuristic3 = true
 		return core.MBM(t, qs, opt)
 	}
@@ -214,8 +214,8 @@ func (e *Env) AblationH2Only(ds string) (*stats.Figure, error) {
 // descent; Weiszfeld and the raw arithmetic mean are alternatives): a
 // worse centroid loosens heuristic 1 and costs node accesses.
 func (e *Env) AblationCentroid(ds string) (*stats.Figure, error) {
-	mk := func(m core.CentroidMethod) func(*rtree.Tree, []geom.Point, core.Options) ([]core.GroupNeighbor, error) {
-		return func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
+	mk := func(m core.CentroidMethod) func(*rtree.Packed, []geom.Point, core.Options) ([]core.GroupNeighbor, error) {
+		return func(t *rtree.Packed, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error) {
 			opt.Centroid = m
 			return core.SPM(t, qs, opt)
 		}

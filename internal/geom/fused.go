@@ -14,12 +14,13 @@ import "math"
 // Bit-exactness contract: every kernel performs, per element, exactly the
 // same floating-point operations in exactly the same order as its scalar
 // counterpart in geom.go (axis terms accumulate in ascending axis order,
-// group terms in query order, with identical expression shapes). Packed
-// traversals therefore produce bit-identical distances and bounds to the
-// dynamic layout, which keeps pruning decisions — and hence results and
-// node-access counts — identical between the two layouts. Do not
-// restructure the arithmetic (e.g. hoisting a Sqrt across a fold or
-// squaring weights) without revisiting that contract.
+// group terms in query order, with identical expression shapes). A bound
+// computed for a whole range therefore equals the scalar bound of each
+// entry bit for bit, so the traversals that mix both (the fused sort keys
+// with the per-node heuristic-3 and MEB bounds) prune consistently, and
+// results and node-access counts stay the ones the scalar definitions
+// imply. Do not restructure the arithmetic (e.g. hoisting a Sqrt across a
+// fold or squaring weights) without revisiting that contract.
 
 // MinDistSqPointsRect writes dst[i] = MinDistSqPointRect(p_{s+i}, r) for
 // the point slots [s, e) of the SoA array pc (pc[axis][slot]).

@@ -26,7 +26,7 @@ func TestBulkLoadSTR(t *testing.T) {
 	for trial := 0; trial < 30; trial++ {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		want := bruteKNN(pts, q, 3)
-		got := tr.NearestBF(q, 3)
+		got := rd(tr).NearestBF(q, 3)
 		for i := range got {
 			if !almostEq(got[i].Dist, want[i]) {
 				t.Fatalf("trial %d rank %d: %v vs %v", trial, i, got[i].Dist, want[i])
@@ -47,7 +47,7 @@ func TestBulkLoadHilbert(t *testing.T) {
 	}
 	q := geom.Point{500, 500}
 	want := bruteKNN(pts, q, 10)
-	got := tr.NearestBF(q, 10)
+	got := rd(tr).NearestBF(q, 10)
 	for i := range got {
 		if !almostEq(got[i].Dist, want[i]) {
 			t.Fatalf("rank %d: %v vs %v", i, got[i].Dist, want[i])
@@ -68,7 +68,7 @@ func TestBulkLoadEmptyAndTiny(t *testing.T) {
 	if err != nil || tr.Len() != 2 || tr.Height() != 1 {
 		t.Fatalf("tiny bulk load: %v len %d h %d", err, tr.Len(), tr.Height())
 	}
-	nn := tr.NearestBF(geom.Point{0, 0}, 1)
+	nn := rd(tr).NearestBF(geom.Point{0, 0}, 1)
 	if nn[0].ID != 7 {
 		t.Fatalf("NN id = %d", nn[0].ID)
 	}
@@ -97,7 +97,7 @@ func TestBulkLoadSizesProperty(t *testing.T) {
 				return false
 			}
 			count := 0
-			tr.All(func(geom.Point, int64) bool { count++; return true })
+			tr.Pack().All(func(geom.Point, int64) bool { count++; return true })
 			if count != n {
 				return false
 			}

@@ -20,15 +20,6 @@ import (
 //  5. the recorded height matches the root's level + 1;
 //  6. every data point lies inside all its ancestors' rectangles.
 func (t *Tree) CheckInvariants() error {
-	if t.root == nil {
-		if t.shellOf != nil {
-			// Borrowed-arena shell: no dynamic nodes exist. Prepare runs
-			// the arena's full checksum and structural validation, which
-			// subsumes the node-level checks below.
-			return t.shellOf.Prepare()
-		}
-		return fmt.Errorf("rtree: nil root")
-	}
 	if t.height != t.root.level+1 {
 		return fmt.Errorf("rtree: height %d but root level %d", t.height, t.root.level)
 	}
@@ -85,6 +76,77 @@ func (t *Tree) checkNode(n *node, isRoot bool) (int, error) {
 			return 0, err
 		}
 		count += c
+	}
+	return count, nil
+}
+
+// CheckInvariants validates the arena against the same invariants as
+// Tree.CheckInvariants — fill bounds, exact routing rectangles, level
+// steps, size and height — and returns the first violation found, or
+// nil. A borrowed arena is Prepared first, which runs its checksum and
+// structural validation. It does not charge node accesses.
+func (p *Packed) CheckInvariants() error {
+	if err := p.Prepare(); err != nil {
+		return err
+	}
+	if int(p.level[p.root])+1 != p.height {
+		return fmt.Errorf("rtree: height %d but root level %d", p.height, p.level[p.root])
+	}
+	count, err := p.checkNode(p.root, true)
+	if err != nil {
+		return err
+	}
+	if count != p.size {
+		return fmt.Errorf("rtree: size %d but %d data entries found", p.size, count)
+	}
+	return nil
+}
+
+func (p *Packed) checkNode(n int32, isRoot bool) (int, error) {
+	s, e := p.start[n], p.end[n]
+	cnt := int(e - s)
+	switch {
+	case cnt > p.cfg.MaxEntries:
+		return 0, fmt.Errorf("rtree: node %d overflows with %d entries", p.page[n], cnt)
+	case isRoot && p.level[n] > 0 && cnt < 2:
+		return 0, fmt.Errorf("rtree: internal root with %d entries", cnt)
+	case !isRoot && cnt < p.cfg.MinEntries:
+		return 0, fmt.Errorf("rtree: node %d underflows with %d entries (min %d)",
+			p.page[n], cnt, p.cfg.MinEntries)
+	}
+	if p.level[n] == 0 {
+		return cnt, nil
+	}
+	count := 0
+	for i := s; i < e; i++ {
+		c := p.child[i]
+		if p.level[c] != p.level[n]-1 {
+			return 0, fmt.Errorf("rtree: node %d at level %d has child at level %d",
+				p.page[n], p.level[n], p.level[c])
+		}
+		cs, ce := p.start[c], p.end[c]
+		if cs >= ce {
+			return 0, fmt.Errorf("rtree: empty child node %d", p.page[c])
+		}
+		clo, chi := p.rlo, p.rhi
+		if p.level[c] == 0 {
+			clo, chi = p.pc, p.pc
+		}
+		for a := 0; a < p.cfg.Dim; a++ {
+			lo, hi := clo[a][cs], chi[a][cs]
+			for j := cs + 1; j < ce; j++ {
+				lo, hi = min(lo, clo[a][j]), max(hi, chi[a][j])
+			}
+			if lo != p.rlo[a][i] || hi != p.rhi[a][i] {
+				return 0, fmt.Errorf("rtree: routing slot %d of node %d is not its child's MBR on axis %d",
+					i, p.page[n], a)
+			}
+		}
+		k, err := p.checkNode(c, false)
+		if err != nil {
+			return 0, err
+		}
+		count += k
 	}
 	return count, nil
 }

@@ -8,12 +8,13 @@ import (
 	"gnn/internal/pagestore"
 )
 
-// Packed is an immutable, cache-packed snapshot of a Tree for query-time
-// use: every node lives in one flat arena indexed by int32 node ids, child
-// links are indices instead of pointers, and entry geometry is stored in
-// structure-of-arrays form — per-axis coordinate slices — so the per-node
-// candidate loops of the traversals become streaming passes over
-// contiguous float64 arrays (see the fused kernels in internal/geom).
+// Packed is the immutable, cache-packed form of an R-tree that every
+// query traverses: every node lives in one flat arena indexed by int32
+// node ids, child links are indices instead of pointers, and entry
+// geometry is stored in structure-of-arrays form — per-axis coordinate
+// slices — so the per-node candidate loops of the traversals become
+// streaming passes over contiguous float64 arrays (see the fused kernels
+// in internal/geom).
 //
 // Two separate slot spaces hold the entries, both in the tree's
 // depth-first preorder:
@@ -21,27 +22,21 @@ import (
 //   - routing slots (internal-node entries): per-axis rectangle corners
 //     rlo/rhi plus the child node id;
 //   - leaf slots (data entries): per-axis point coordinates pc, the
-//     original geom.Point (shared with the source tree, so emitted results
-//     are bit-identical) and the caller's id.
+//     point-major geom.Point view emitted in results, and the caller's
+//     id.
 //
 // Node i owns the contiguous slot range [start[i], end[i]) of whichever
-// space its level selects. Page ids are preserved from the source tree and
-// every packed traversal charges the same accountant, so per-query
-// CostTracker and aggregate node-access accounting is bit-identical to the
-// dynamic layout.
+// space its level selects. Page ids are preserved from the builder tree
+// and every traversal charges the arena's accountant, which reproduces
+// the paper's node-access metric.
 //
-// A Packed is valid only for the exact tree state it was built from:
-// Insert and Delete bump the tree's mutation counter, after which Valid
-// reports false and ReaderOver silently falls back to the dynamic nodes.
-// Build a fresh snapshot with Pack after mutating (under the same
-// no-concurrent-readers contract as the mutation itself).
+// A Packed holds no reference to the Tree it was packed from: the
+// builder can be dropped (or keep mutating) once Pack returns.
 type Packed struct {
-	src    *Tree
-	muts   uint64
-	dim    int
+	cfg    Config // effective builder configuration (dimension, capacities, pages, accountant)
+	pages  int64  // page ids the builder allocated, starting at cfg.FirstPage
 	size   int
 	height int
-	acct   *pagestore.Accountant
 
 	root int32
 
@@ -67,8 +62,8 @@ type Packed struct {
 	// at construction.
 	prep *packedPrep
 
-	// mbr is the root MBR of a borrowed arena, set by Prepare (the shell
-	// tree has no dynamic nodes to compute it from).
+	// mbr is the root MBR (set at construction, or by Prepare for a
+	// borrowed arena).
 	mbr geom.Rect
 }
 
@@ -97,17 +92,19 @@ func (p *Packed) Prepare() error {
 	return p.prep.err
 }
 
-// bounds serves the shell tree's Bounds from the prepared arena.
-func (p *Packed) bounds() (geom.Rect, bool) {
+// Bounds returns the MBR of the indexed points; ok is false when the
+// arena is empty (or a borrowed arena fails Prepare).
+func (p *Packed) Bounds() (geom.Rect, bool) {
 	if p.size == 0 || p.Prepare() != nil {
 		return geom.Rect{}, false
 	}
 	return p.mbr, true
 }
 
-// Pack builds the packed query-time snapshot of the tree's current state.
-// Like every read operation it may run concurrently with queries, but not
-// with Insert or Delete.
+// Pack builds the packed arena of the tree's current state. The arena
+// copies everything it needs, so later mutations of the tree do not
+// affect it. Like every read operation it may run concurrently with
+// other reads of the tree, but not with Insert or Delete.
 func (t *Tree) Pack() *Packed {
 	// First pass: count nodes and slots so every arena is allocated once.
 	var nodes, rslots, lslots int
@@ -125,25 +122,27 @@ func (t *Tree) Pack() *Packed {
 	}
 	count(t.root)
 
+	dim := t.cfg.Dim
 	p := &Packed{
-		src: t, muts: t.muts, dim: t.cfg.Dim, size: t.size, height: t.height,
-		acct:  t.cfg.Accountant,
+		cfg: t.cfg, pages: t.Pages(), size: t.size, height: t.height,
 		level: make([]int32, 0, nodes),
 		page:  make([]pagestore.PageID, 0, nodes),
 		start: make([]int32, 0, nodes),
 		end:   make([]int32, 0, nodes),
 		child: make([]int32, rslots),
-		rlo:   make([][]float64, t.cfg.Dim),
-		rhi:   make([][]float64, t.cfg.Dim),
-		pc:    make([][]float64, t.cfg.Dim),
+		rlo:   make([][]float64, dim),
+		rhi:   make([][]float64, dim),
+		pc:    make([][]float64, dim),
 		pts:   make([]geom.Point, 0, lslots),
 		ids:   make([]int64, 0, lslots),
 	}
-	for a := 0; a < t.cfg.Dim; a++ {
+	for a := 0; a < dim; a++ {
 		p.rlo[a] = make([]float64, rslots)
 		p.rhi[a] = make([]float64, rslots)
 		p.pc[a] = make([]float64, 0, lslots)
 	}
+	// Point-major copies of the leaf points live in one slab.
+	slab := make([]float64, 0, dim*lslots)
 
 	// Second pass: depth-first preorder fill. A node's slot range is
 	// claimed before its children are visited, and each routing slot's
@@ -157,10 +156,12 @@ func (t *Tree) Pack() *Packed {
 		if n.level == 0 {
 			p.start = append(p.start, nextL)
 			for _, e := range n.entries {
-				for a := 0; a < p.dim; a++ {
+				for a := 0; a < dim; a++ {
 					p.pc[a] = append(p.pc[a], e.Point[a])
 				}
-				p.pts = append(p.pts, e.Point)
+				s := len(slab)
+				slab = append(slab, e.Point...)
+				p.pts = append(p.pts, geom.Point(slab[s:s+dim:s+dim]))
 				p.ids = append(p.ids, e.ID)
 			}
 			nextL += int32(len(n.entries))
@@ -172,7 +173,7 @@ func (t *Tree) Pack() *Packed {
 		p.start = append(p.start, s)
 		p.end = append(p.end, nextR)
 		for i, e := range n.entries {
-			for a := 0; a < p.dim; a++ {
+			for a := 0; a < dim; a++ {
 				p.rlo[a][s+int32(i)] = e.Rect.Lo[a]
 				p.rhi[a][s+int32(i)] = e.Rect.Hi[a]
 			}
@@ -183,23 +184,15 @@ func (t *Tree) Pack() *Packed {
 		return id
 	}
 	p.root = fill(t.root)
+	p.mbr = p.rootMBR()
 	return p
 }
-
-// Valid reports whether the snapshot still matches the tree's state: it
-// was built from exactly this tree and no Insert/Delete happened since.
-func (p *Packed) Valid(t *Tree) bool {
-	return p != nil && p.src == t && p.muts == t.muts
-}
-
-// Tree returns the source tree the snapshot was built from.
-func (p *Packed) Tree() *Tree { return p.src }
 
 // Len returns the number of indexed points.
 func (p *Packed) Len() int { return p.size }
 
-// Dim returns the snapshot's dimensionality.
-func (p *Packed) Dim() int { return p.dim }
+// Dim returns the arena's dimensionality.
+func (p *Packed) Dim() int { return p.cfg.Dim }
 
 // Height returns the number of levels (1 when the root is a leaf).
 func (p *Packed) Height() int { return p.height }
@@ -207,8 +200,17 @@ func (p *Packed) Height() int { return p.height }
 // Nodes returns the number of nodes in the arena.
 func (p *Packed) Nodes() int { return len(p.level) }
 
+// Config returns the effective configuration of the tree the arena was
+// packed from (for snapshot-loaded arenas, the writer's structural
+// parameters). The overlay and compaction layers use it to bulk-load
+// replacements with identical geometry.
+func (p *Packed) Config() Config { return p.cfg }
+
+// Accountant returns the shared accountant charged by all traversals.
+func (p *Packed) Accountant() *pagestore.Accountant { return p.cfg.Accountant }
+
 // Root returns the root node id without charging an access (use
-// Reader.PackedRoot on query paths).
+// Reader.Root on query paths).
 func (p *Packed) Root() int32 { return p.root }
 
 // IsLeaf reports whether node n is at leaf level.
@@ -218,7 +220,8 @@ func (p *Packed) IsLeaf(n int32) bool { return p.level[n] == 0 }
 // internal nodes, leaf slots for leaves.
 func (p *Packed) NodeRange(n int32) (s, e int32) { return p.start[n], p.end[n] }
 
-// ChildOf returns the child node id of routing slot s.
+// ChildOf returns the child node id of routing slot s without charging
+// an access.
 func (p *Packed) ChildOf(s int32) int32 { return p.child[s] }
 
 // RectSoA returns the per-axis corner arrays of the routing slots.
@@ -228,8 +231,7 @@ func (p *Packed) RectSoA() (lo, hi [][]float64) { return p.rlo, p.rhi }
 func (p *Packed) PointSoA() [][]float64 { return p.pc }
 
 // LeafPoint returns the data point of leaf slot s. The returned slice is
-// shared with the source tree's entry (never modify it); emitting it keeps
-// packed results bit-identical to dynamic ones.
+// the arena's own storage (never modify it).
 func (p *Packed) LeafPoint(s int32) geom.Point { return p.pts[s] }
 
 // LeafID returns the caller-supplied id of leaf slot s.
@@ -243,22 +245,34 @@ func (p *Packed) NumLeafSlots() int { return len(p.ids) }
 // bridge for the few per-node bounds (heuristic 3, F-MBM leaf ordering)
 // that operate on one rectangle rather than a range.
 func (p *Packed) RectInto(s int32, dst *geom.Rect) {
-	if cap(dst.Lo) < p.dim {
-		dst.Lo = make(geom.Point, p.dim)
+	dim := p.cfg.Dim
+	if cap(dst.Lo) < dim {
+		dst.Lo = make(geom.Point, dim)
 	}
-	if cap(dst.Hi) < p.dim {
-		dst.Hi = make(geom.Point, p.dim)
+	if cap(dst.Hi) < dim {
+		dst.Hi = make(geom.Point, dim)
 	}
-	dst.Lo, dst.Hi = dst.Lo[:p.dim], dst.Hi[:p.dim]
-	for a := 0; a < p.dim; a++ {
+	dst.Lo, dst.Hi = dst.Lo[:dim], dst.Hi[:dim]
+	for a := 0; a < dim; a++ {
 		dst.Lo[a] = p.rlo[a][s]
 		dst.Hi[a] = p.rhi[a][s]
 	}
 }
 
+// RectIntersects reports whether routing slot s's rectangle intersects r
+// (boundaries inclusive, as geom.Rect.Intersects).
+func (p *Packed) RectIntersects(s int32, r geom.Rect) bool {
+	for a := 0; a < p.cfg.Dim; a++ {
+		if r.Hi[a] < p.rlo[a][s] || p.rhi[a][s] < r.Lo[a] {
+			return false
+		}
+	}
+	return true
+}
+
 // PackedRef encodes one packed entry on traversal data structures: leaf
 // slot s as s (non-negative), routing slot s as ^s (negative). A single
-// int32 replaces the 88-byte Entry in candidate lists and heaps.
+// int32 replaces a copied entry in candidate lists and heaps.
 type PackedRef = int32
 
 // LeafRef and NodeRef build refs; RefSlot decodes either kind.
@@ -275,43 +289,46 @@ func RefSlot(r PackedRef) (s int32, leaf bool) {
 	return ^r, false
 }
 
-// ReaderOver returns an execution context over the packed snapshot when it
-// is valid for t, and over the dynamic nodes otherwise. It is the single
-// dispatch point through which every query picks its layout.
-func ReaderOver(t *Tree, p *Packed, tk *pagestore.CostTracker) Reader {
-	if !p.Valid(t) {
-		p = nil
-	}
-	return Reader{t: t, p: p, tk: tk}
+// Reader is a per-query execution context: a read-only view of a packed
+// arena whose node accesses are charged to one query's CostTracker (may
+// be nil: aggregate-only accounting) as well as the arena's shared
+// Accountant. Create one Reader per query; a Reader itself is a cheap
+// value but must not be shared between goroutines, because the tracker
+// it carries is unsynchronised by design.
+type Reader struct {
+	p  *Packed
+	tk *pagestore.CostTracker
 }
 
-// Reader returns an execution context over the packed snapshot, charging
-// tk (nil for aggregate-only accounting).
+// Reader returns an execution context over the arena, charging tk (nil
+// for aggregate-only accounting).
 func (p *Packed) Reader(tk *pagestore.CostTracker) Reader {
-	return Reader{t: p.src, p: p, tk: tk}
+	return Reader{p: p, tk: tk}
 }
 
-// Packed returns the packed snapshot this reader traverses, or nil when it
-// reads the dynamic nodes.
+// Packed returns the arena this reader traverses.
 func (r Reader) Packed() *Packed { return r.p }
 
-// PackedRoot returns the packed root node id, charging one node access.
-func (r Reader) PackedRoot() int32 {
-	r.p.acct.Access(r.p.page[r.p.root], r.tk)
+// Cost returns the reader's per-query tracker (nil when aggregate-only).
+func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
+
+// Root returns the root node id, charging one node access.
+func (r Reader) Root() int32 {
+	r.p.cfg.Accountant.Access(r.p.page[r.p.root], r.tk)
 	return r.p.root
 }
 
-// PackedChild resolves routing slot s to its child node id, charging one
-// node access.
-func (r Reader) PackedChild(s int32) int32 {
+// Child resolves routing slot s to its child node id, charging one node
+// access.
+func (r Reader) Child(s int32) int32 {
 	c := r.p.child[s]
-	r.p.acct.Access(r.p.page[c], r.tk)
+	r.p.cfg.Accountant.Access(r.p.page[c], r.tk)
 	return c
 }
 
 // growFloat64 returns dst with length n (contents undefined), reallocating
 // only when capacity is short — the scratch-buffer growth helper of the
-// packed traversals.
+// traversals.
 func growFloat64(dst []float64, n int) []float64 {
 	if cap(dst) < n {
 		return make([]float64, n)
@@ -319,43 +336,9 @@ func growFloat64(dst []float64, n int) []float64 {
 	return dst[:n]
 }
 
-// searchPacked is Reader.Search over the packed arena.
-func (rd Reader) searchPacked(n int32, r geom.Rect, fn func(geom.Point, int64) bool) bool {
-	p := rd.p
-	s, e := p.start[n], p.end[n]
-	if p.level[n] == 0 {
-		for i := s; i < e; i++ {
-			inside := true
-			for a := 0; a < p.dim; a++ {
-				if v := p.pc[a][i]; v < r.Lo[a] || v > r.Hi[a] {
-					inside = false
-					break
-				}
-			}
-			if inside && !fn(p.pts[i], p.ids[i]) {
-				return false
-			}
-		}
-		return true
-	}
-	for i := s; i < e; i++ {
-		intersects := true
-		for a := 0; a < p.dim; a++ {
-			if p.rhi[a][i] < r.Lo[a] || r.Hi[a] < p.rlo[a][i] {
-				intersects = false
-				break
-			}
-		}
-		if intersects && !rd.searchPacked(rd.PackedChild(i), r, fn) {
-			return false
-		}
-	}
-	return true
-}
-
 // All invokes fn for every indexed point in depth-first order — a pure
-// streaming pass over the flat leaf arrays, without charging node accesses
-// (matching Tree.All's bookkeeping-scan semantics).
+// streaming pass over the flat leaf arrays, without charging node
+// accesses (a bookkeeping scan, not a simulated disk traversal).
 func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
 	if p.Prepare() != nil {
 		return // unverifiable borrowed arena; opens surfaced the error
@@ -367,78 +350,26 @@ func (p *Packed) All(fn func(pt geom.Point, id int64) bool) {
 	}
 }
 
-// nearestDFPacked is the packed-arena [RKV95] depth-first k-NN traversal:
-// the per-node candidate distances come from one fused pass over the SoA
-// arrays, and candidates are int32 refs instead of copied entries.
-func (rd Reader) nearestDFPacked(n int32, q geom.Point, sc *nnScratch, depth int) {
-	p := rd.p
-	s, e := p.start[n], p.end[n]
-	cnt := int(e - s)
-	sc.dbuf = growFloat64(sc.dbuf, cnt)
-	buf := sc.pcands.Level(depth)
-	cands := *buf
-	if p.level[n] == 0 {
-		geom.DistSqPointsPoint(p.pc, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: LeafRef(s + int32(i)), D: sc.dbuf[i]})
-		}
-	} else {
-		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), q, sc.dbuf)
-		for i := 0; i < cnt; i++ {
-			cands = append(cands, PCand{Ref: NodeRef(s + int32(i)), D: sc.dbuf[i]})
+// rootMBR computes the arena root's bounding rectangle (the validated
+// arena makes every slot range in bounds).
+func (p *Packed) rootMBR() geom.Rect {
+	dim := p.cfg.Dim
+	lo := make(geom.Point, dim)
+	hi := make(geom.Point, dim)
+	s, e := p.start[p.root], p.end[p.root]
+	if s >= e {
+		return geom.Rect{Lo: lo, Hi: hi}
+	}
+	clo, chi := p.rlo, p.rhi
+	if p.level[p.root] == 0 {
+		clo, chi = p.pc, p.pc
+	}
+	for a := 0; a < dim; a++ {
+		lo[a], hi[a] = clo[a][s], chi[a][s]
+		for i := s + 1; i < e; i++ {
+			lo[a] = math.Min(lo[a], clo[a][i])
+			hi[a] = math.Max(hi[a], chi[a][i])
 		}
 	}
-	SortPCands(cands)
-	*buf = cands
-	for i := range cands {
-		c := cands[i]
-		if bd, ok := sc.best.Kth(); ok && c.D >= bd {
-			return // every remaining candidate is at least this far
-		}
-		if slot, leaf := RefSlot(c.Ref); leaf {
-			sc.best.Push(Neighbor{Point: p.pts[slot], ID: p.ids[slot]}, c.D)
-		} else {
-			rd.nearestDFPacked(rd.PackedChild(slot), q, sc, depth+1)
-		}
-	}
-}
-
-// pushNodePacked enqueues node n's slots on the packed heap, keyed by the
-// fused squared distances to q.
-func (it *NNIterator) pushNodePacked(n int32) {
-	p := it.rd.p
-	s, e := p.start[n], p.end[n]
-	cnt := int(e - s)
-	it.dbuf = growFloat64(it.dbuf, cnt)
-	if p.level[n] == 0 {
-		geom.DistSqPointsPoint(p.pc, int(s), int(e), it.q, it.dbuf)
-		for i := 0; i < cnt; i++ {
-			it.ph.Push(LeafRef(s+int32(i)), it.dbuf[i])
-		}
-	} else {
-		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), it.q, it.dbuf)
-		for i := 0; i < cnt; i++ {
-			it.ph.Push(NodeRef(s+int32(i)), it.dbuf[i])
-		}
-	}
-}
-
-// nextPacked is NNIterator.Next over the packed arena.
-func (it *NNIterator) nextPacked() (Neighbor, bool) {
-	p := it.rd.p
-	for {
-		item, ok := it.ph.Pop()
-		if !ok {
-			return Neighbor{}, false
-		}
-		slot, leaf := RefSlot(item.Value)
-		if leaf {
-			return Neighbor{
-				Point: p.pts[slot],
-				ID:    p.ids[slot],
-				Dist:  math.Sqrt(item.Priority),
-			}, true
-		}
-		it.pushNodePacked(it.rd.PackedChild(slot))
-	}
+	return geom.Rect{Lo: lo, Hi: hi}
 }

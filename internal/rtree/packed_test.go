@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -36,137 +37,96 @@ func randTree(t *testing.T, rng *rand.Rand, n, maxEntries int, bulk bool) *Tree 
 }
 
 // TestPackedTraversalEquivalence checks that every rtree-level traversal
-// returns identical neighbors and charges identical per-query costs on
-// both layouts.
+// returns identical neighbors and charges identical per-query costs on a
+// packed arena and on the same arena after a snapshot round trip, and
+// that the answers agree with a brute-force scan.
 func TestPackedTraversalEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for _, bulk := range []bool{true, false} {
 		tr := randTree(t, rng, 2000, 8, bulk)
 		p := tr.Pack()
-		if !p.Valid(tr) {
-			t.Fatal("fresh snapshot reports invalid")
-		}
 		if p.Len() != tr.Len() || p.Height() != tr.Height() {
-			t.Fatalf("snapshot shape: len %d/%d height %d/%d", p.Len(), tr.Len(), p.Height(), tr.Height())
+			t.Fatalf("arena shape: len %d/%d height %d/%d", p.Len(), tr.Len(), p.Height(), tr.Height())
+		}
+		var buf bytes.Buffer
+		if _, err := p.WriteTo(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var lp Packed
+		if _, err := lp.ReadFrom(&buf); err != nil {
+			t.Fatal(err)
+		}
+		var pts []geom.Point
+		p.All(func(pt geom.Point, _ int64) bool { pts = append(pts, pt); return true })
+		if len(pts) != tr.Len() {
+			t.Fatalf("All streamed %d of %d points", len(pts), tr.Len())
 		}
 		for trial := 0; trial < 50; trial++ {
 			q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 			k := 1 + rng.Intn(10)
+			want := bruteKNN(pts, q, k)
 
-			var dtk, ptk pagestore.CostTracker
-			dyn := tr.Reader(&dtk).NearestDF(q, k)
-			pkd := ReaderOver(tr, p, &ptk).NearestDF(q, k)
-			if !reflect.DeepEqual(dyn, pkd) {
-				t.Fatalf("NearestDF diverged (bulk=%v trial %d):\ndyn: %v\npkd: %v", bulk, trial, dyn, pkd)
-			}
-			if dtk != ptk {
-				t.Fatalf("NearestDF cost diverged: dyn %+v pkd %+v", dtk, ptk)
-			}
-
-			dtk, ptk = pagestore.CostTracker{}, pagestore.CostTracker{}
-			dyn = tr.Reader(&dtk).NearestBF(q, k)
-			pkd = p.Reader(&ptk).NearestBF(q, k)
-			if !reflect.DeepEqual(dyn, pkd) {
-				t.Fatalf("NearestBF diverged (bulk=%v trial %d)", bulk, trial)
-			}
-			if dtk != ptk {
-				t.Fatalf("NearestBF cost diverged: dyn %+v pkd %+v", dtk, ptk)
+			for _, nn := range []struct {
+				name string
+				run  func(Reader) []Neighbor
+			}{
+				{"NearestDF", func(r Reader) []Neighbor { return r.NearestDF(q, k) }},
+				{"NearestBF", func(r Reader) []Neighbor { return r.NearestBF(q, k) }},
+			} {
+				var atk, btk pagestore.CostTracker
+				a, b := nn.run(p.Reader(&atk)), nn.run(lp.Reader(&btk))
+				if !reflect.DeepEqual(a, b) {
+					t.Fatalf("%s diverged (bulk=%v trial %d):\nbuilt:  %v\nloaded: %v", nn.name, bulk, trial, a, b)
+				}
+				if atk != btk {
+					t.Fatalf("%s cost diverged: built %+v loaded %+v", nn.name, atk, btk)
+				}
+				for i := range a {
+					if a[i].Dist != want[i] {
+						t.Fatalf("%s rank %d: dist %v, brute force %v", nn.name, i, a[i].Dist, want[i])
+					}
+				}
 			}
 
 			r := geom.NewRect(
 				geom.Point{rng.Float64() * 1000, rng.Float64() * 1000},
 				geom.Point{rng.Float64() * 1000, rng.Float64() * 1000})
-			var dres, pres []int64
-			dtk, ptk = pagestore.CostTracker{}, pagestore.CostTracker{}
-			tr.Reader(&dtk).Search(r, func(_ geom.Point, id int64) bool {
-				dres = append(dres, id)
+			var ares, bres []int64
+			var atk, btk pagestore.CostTracker
+			p.Reader(&atk).Search(r, func(_ geom.Point, id int64) bool {
+				ares = append(ares, id)
 				return true
 			})
-			ReaderOver(tr, p, &ptk).Search(r, func(_ geom.Point, id int64) bool {
-				pres = append(pres, id)
+			lp.Reader(&btk).Search(r, func(_ geom.Point, id int64) bool {
+				bres = append(bres, id)
 				return true
 			})
-			if !reflect.DeepEqual(dres, pres) {
-				t.Fatalf("Search diverged: %d vs %d ids", len(dres), len(pres))
+			if !reflect.DeepEqual(ares, bres) {
+				t.Fatalf("Search diverged: %d vs %d ids", len(ares), len(bres))
 			}
-			if dtk != ptk {
-				t.Fatalf("Search cost diverged: dyn %+v pkd %+v", dtk, ptk)
+			if atk != btk {
+				t.Fatalf("Search cost diverged: built %+v loaded %+v", atk, btk)
 			}
 		}
 
 		// Incremental NN streams must emit the same prefix with the same
 		// per-step costs.
 		q := geom.Point{500, 500}
-		var dtk, ptk pagestore.CostTracker
-		di := tr.Reader(&dtk).NewNNIterator(q)
-		pi := ReaderOver(tr, p, &ptk).NewNNIterator(q)
+		var atk, btk pagestore.CostTracker
+		ai := p.Reader(&atk).NewNNIterator(q)
+		bi := lp.Reader(&btk).NewNNIterator(q)
 		for i := 0; i < 200; i++ {
-			dn, dok := di.Next()
-			pn, pok := pi.Next()
-			if dok != pok || !reflect.DeepEqual(dn, pn) {
-				t.Fatalf("NN stream diverged at %d: %v/%v vs %v/%v", i, dn, dok, pn, pok)
+			an, aok := ai.Next()
+			bn, bok := bi.Next()
+			if aok != bok || !reflect.DeepEqual(an, bn) {
+				t.Fatalf("NN stream diverged at %d: %v/%v vs %v/%v", i, an, aok, bn, bok)
 			}
-			if dtk != ptk {
-				t.Fatalf("NN stream cost diverged at %d: dyn %+v pkd %+v", i, dtk, ptk)
+			if atk != btk {
+				t.Fatalf("NN stream cost diverged at %d: built %+v loaded %+v", i, atk, btk)
 			}
 		}
-		di.Close()
-		pi.Close()
-
-		// All must stream the identical sequence.
-		var dall, pall []int64
-		tr.All(func(_ geom.Point, id int64) bool { dall = append(dall, id); return true })
-		p.All(func(_ geom.Point, id int64) bool { pall = append(pall, id); return true })
-		if !reflect.DeepEqual(dall, pall) {
-			t.Fatal("All order diverged between layouts")
-		}
-	}
-}
-
-// TestPackedInvalidation checks the mutation-invalidation rule: any
-// Insert or Delete makes the snapshot stale and ReaderOver falls back to
-// the dynamic nodes.
-func TestPackedInvalidation(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	tr := randTree(t, rng, 200, 8, true)
-	p := tr.Pack()
-	if !p.Valid(tr) {
-		t.Fatal("fresh snapshot invalid")
-	}
-	if rd := ReaderOver(tr, p, nil); rd.Packed() != p {
-		t.Fatal("ReaderOver dropped a valid snapshot")
-	}
-	if err := tr.Insert(geom.Point{1, 2}, 999); err != nil {
-		t.Fatal(err)
-	}
-	if p.Valid(tr) {
-		t.Fatal("snapshot still valid after Insert")
-	}
-	if rd := ReaderOver(tr, p, nil); rd.Packed() != nil {
-		t.Fatal("ReaderOver served a stale snapshot")
-	}
-	// Queries through the stale-snapshot ReaderOver must see the new point.
-	got := ReaderOver(tr, p, nil).NearestDF(geom.Point{1, 2}, 1)
-	if len(got) != 1 || got[0].ID != 999 {
-		t.Fatalf("fallback query missed the inserted point: %v", got)
-	}
-	p2 := tr.Pack()
-	if !p2.Valid(tr) {
-		t.Fatal("re-packed snapshot invalid")
-	}
-	if !tr.Delete(geom.Point{1, 2}, 999) {
-		t.Fatal("delete failed")
-	}
-	if p2.Valid(tr) {
-		t.Fatal("snapshot still valid after Delete")
-	}
-	// A snapshot of one tree is never valid for another.
-	other := randTree(t, rng, 50, 8, true)
-	if p.Valid(other) {
-		t.Fatal("snapshot valid for a different tree")
-	}
-	if rd := ReaderOver(other, other.Pack(), nil); rd.Packed() == nil {
-		t.Fatal("ReaderOver rejected a matching snapshot")
+		ai.Close()
+		bi.Close()
 	}
 }
 

@@ -8,28 +8,28 @@ import (
 	"gnn/internal/pq"
 )
 
-// Pair is a pair of data points, one from each tree, with their distance.
+// Pair is a pair of data points, one from each arena, with their distance.
 type Pair struct {
 	P, Q Neighbor
 	Dist float64
 }
 
 // pairItem is a heap element of the incremental closest-pair search. Each
-// side is either a resolved data entry or a routing entry of its tree.
+// side is a ref into its arena: a resolved leaf slot or a routing slot.
 type pairItem struct {
-	ep, eq Entry
+	p, q PackedRef
 }
 
-// PairIterator enumerates point pairs (p, q), p from the first tree and q
-// from the second, in ascending distance order — the incremental closest-
-// pair algorithm of [HS98] used as the engine of GCP (§4.1).
+// PairIterator enumerates point pairs (p, q), p from the first arena and
+// q from the second, in ascending distance order — the incremental
+// closest-pair algorithm of [HS98] used as the engine of GCP (§4.1).
 //
 // The iterator maintains a heap of entry pairs keyed by the squared
 // mindist of their rectangles: since mindist lower-bounds every concrete
 // pair beneath an entry pair and squaring preserves order, popping in heap
 // order yields pairs in ascending distance while no heap key pays a Sqrt.
-// Node accesses are charged to each side's execution context (each tree's
-// shared accountant, plus whatever tracker the contexts carry).
+// Node accesses are charged to each side's execution context (each
+// arena's shared accountant, plus whatever tracker the contexts carry).
 //
 // Iterators are drawn from a pool; Close recycles the heap (GCP closes its
 // iterator on every path). Forgetting to Close costs only the reuse.
@@ -40,42 +40,58 @@ type PairIterator struct {
 	// heapMax tracks the high-water mark of the heap, reported because the
 	// paper discusses GCP's "large heap requirements" (§4.1).
 	heapMax int
+	// Scratch: the ref lists of one expansion and the rectangles of the
+	// pair being keyed.
+	pbuf, qbuf []PackedRef
+	rp1, rq1   geom.Rect
 }
 
 var pairIterPool = pq.NewPool(func() *PairIterator { return &PairIterator{} })
 
 // NewClosestPairIterator starts an incremental closest-pair scan between
-// two non-empty trees of equal dimensionality, in fresh aggregate-only
-// execution contexts. Use NewClosestPairIteratorReaders to charge
-// per-query trackers.
-func NewClosestPairIterator(tp, tq *Tree) (*PairIterator, error) {
-	return NewClosestPairIteratorReaders(tp.Reader(nil), tq.Reader(nil))
-}
-
-// NewClosestPairIteratorReaders starts an incremental closest-pair scan
-// between the trees behind two per-query execution contexts. The contexts
-// may share one CostTracker, which then accumulates the combined NA of
-// both trees.
-func NewClosestPairIteratorReaders(rp, rq Reader) (*PairIterator, error) {
-	tp, tq := rp.Tree(), rq.Tree()
-	if tp.Dim() != tq.Dim() {
-		return nil, fmt.Errorf("rtree: dimension mismatch %d vs %d", tp.Dim(), tq.Dim())
+// the arenas behind two per-query execution contexts. The contexts may
+// share one CostTracker, which then accumulates the combined NA of both
+// arenas.
+func NewClosestPairIterator(rp, rq Reader) (*PairIterator, error) {
+	if rp.p.Dim() != rq.p.Dim() {
+		return nil, fmt.Errorf("rtree: dimension mismatch %d vs %d", rp.p.Dim(), rq.p.Dim())
 	}
 	it := pairIterPool.Get()
 	it.rp, it.rq, it.closed, it.heapMax = rp, rq, false, 0
 	it.heap.Reset()
-	if tp.Len() > 0 && tq.Len() > 0 {
+	if rp.p.size > 0 && rq.p.size > 0 {
 		np, nq := rp.Root(), rq.Root()
-		it.pushCross(np.Entries(), nq.Entries())
+		it.pushCross(it.slotRefs(&it.pbuf, rp.p, np), it.slotRefs(&it.qbuf, rq.p, nq))
 	}
 	return it, nil
 }
 
-// pushCross enqueues the cross product of two entry sets.
-func (it *PairIterator) pushCross(eps, eqs []Entry) {
-	for _, ep := range eps {
-		for _, eq := range eqs {
-			it.heap.Push(pairItem{ep, eq}, pairDistSq(ep, eq))
+// slotRefs fills *buf with the refs of node n's slots.
+func (it *PairIterator) slotRefs(buf *[]PackedRef, p *Packed, n int32) []PackedRef {
+	refs := (*buf)[:0]
+	s, e := p.NodeRange(n)
+	for i := s; i < e; i++ {
+		if p.IsLeaf(n) {
+			refs = append(refs, LeafRef(i))
+		} else {
+			refs = append(refs, NodeRef(i))
+		}
+	}
+	*buf = refs
+	return refs
+}
+
+// one fills *buf with the single ref r.
+func one(buf *[]PackedRef, r PackedRef) []PackedRef {
+	*buf = append((*buf)[:0], r)
+	return *buf
+}
+
+// pushCross enqueues the cross product of two ref sets, P-major.
+func (it *PairIterator) pushCross(ps, qs []PackedRef) {
+	for _, p := range ps {
+		for _, q := range qs {
+			it.heap.Push(pairItem{p, q}, it.pairDistSq(p, q))
 		}
 	}
 	if it.heap.Len() > it.heapMax {
@@ -83,16 +99,24 @@ func (it *PairIterator) pushCross(eps, eqs []Entry) {
 	}
 }
 
-func pairDistSq(ep, eq Entry) float64 {
+// pairDistSq is the squared mindist between two refs' geometries.
+func (it *PairIterator) pairDistSq(pr, qr PackedRef) float64 {
+	pp, qp := it.rp.p, it.rq.p
+	ps, pLeaf := RefSlot(pr)
+	qs, qLeaf := RefSlot(qr)
 	switch {
-	case ep.IsLeafEntry() && eq.IsLeafEntry():
-		return geom.DistSq(ep.Point, eq.Point)
-	case ep.IsLeafEntry():
-		return geom.MinDistSqPointRect(ep.Point, eq.Rect)
-	case eq.IsLeafEntry():
-		return geom.MinDistSqPointRect(eq.Point, ep.Rect)
+	case pLeaf && qLeaf:
+		return geom.DistSq(pp.pts[ps], qp.pts[qs])
+	case pLeaf:
+		qp.RectInto(qs, &it.rq1)
+		return geom.MinDistSqPointRect(pp.pts[ps], it.rq1)
+	case qLeaf:
+		pp.RectInto(ps, &it.rp1)
+		return geom.MinDistSqPointRect(qp.pts[qs], it.rp1)
 	default:
-		return geom.MinDistSqRectRect(ep.Rect, eq.Rect)
+		pp.RectInto(ps, &it.rp1)
+		qp.RectInto(qs, &it.rq1)
+		return geom.MinDistSqRectRect(it.rp1, it.rq1)
 	}
 }
 
@@ -102,32 +126,36 @@ func (it *PairIterator) Next() (Pair, bool) {
 	if it.closed {
 		return Pair{}, false
 	}
+	pp, qp := it.rp.p, it.rq.p
 	for {
 		item, ok := it.heap.Pop()
 		if !ok {
 			return Pair{}, false
 		}
-		ep, eq := item.Value.ep, item.Value.eq
-		if ep.IsLeafEntry() && eq.IsLeafEntry() {
+		pr, qr := item.Value.p, item.Value.q
+		ps, pLeaf := RefSlot(pr)
+		qs, qLeaf := RefSlot(qr)
+		if pLeaf && qLeaf {
 			d := math.Sqrt(item.Priority)
 			return Pair{
-				P:    Neighbor{Point: ep.Point, ID: ep.ID, Dist: d},
-				Q:    Neighbor{Point: eq.Point, ID: eq.ID, Dist: d},
+				P:    Neighbor{Point: pp.pts[ps], ID: pp.ids[ps], Dist: d},
+				Q:    Neighbor{Point: qp.pts[qs], ID: qp.ids[qs], Dist: d},
 				Dist: d,
 			}, true
 		}
 		// Expand the unresolved side with the larger rectangle (both when
 		// only one is unresolved); this balanced policy keeps the heap
 		// smaller than always expanding a fixed side.
-		switch {
-		case ep.IsLeafEntry():
-			it.pushCross([]Entry{ep}, it.rq.Child(eq).Entries())
-		case eq.IsLeafEntry():
-			it.pushCross(it.rp.Child(ep).Entries(), []Entry{eq})
-		case ep.Rect.Area() >= eq.Rect.Area():
-			it.pushCross(it.rp.Child(ep).Entries(), []Entry{eq})
-		default:
-			it.pushCross([]Entry{ep}, it.rq.Child(eq).Entries())
+		expandP := !pLeaf
+		if !pLeaf && !qLeaf {
+			pp.RectInto(ps, &it.rp1)
+			qp.RectInto(qs, &it.rq1)
+			expandP = it.rp1.Area() >= it.rq1.Area()
+		}
+		if expandP {
+			it.pushCross(it.slotRefs(&it.pbuf, pp, it.rp.Child(ps)), one(&it.qbuf, qr))
+		} else {
+			it.pushCross(one(&it.pbuf, pr), it.slotRefs(&it.qbuf, qp, it.rq.Child(qs)))
 		}
 	}
 }

@@ -10,16 +10,16 @@ import "gnn/internal/pq"
 // allocated slice and a `sort.Slice` closure. The GNN kernels in
 // internal/core share these types through their own pooled ExecContext.
 
-// Cand pairs an entry with its traversal sort key D, plus a secondary
-// tie-break key D2. Keys may be squared distances (squaring is monotone,
-// so ordering is unaffected and no heap key pays a Sqrt); kernels whose
-// primary key has a large tie mass (MBM's heuristic-2 key is zero for
-// every entry overlapping the query MBR) order ties most-promising-first
-// via D2, while the others leave D2 zero.
+// Cand pairs a PackedRef (leaf slot or ^routing slot) with its traversal
+// sort key D, plus a secondary tie-break key D2. Keys may be squared
+// distances (squaring is monotone, so ordering is unaffected and no heap
+// key pays a Sqrt); kernels whose primary key has a large tie mass (MBM's
+// heuristic-2 key is zero for every entry overlapping the query MBR)
+// order ties most-promising-first via D2, while the others leave D2 zero.
 type Cand struct {
-	E  Entry
-	D  float64
-	D2 float64
+	Ref PackedRef
+	D   float64
+	D2  float64
 }
 
 // SortCands orders candidates by ascending (D, D2). Nodes hold at most
@@ -27,31 +27,6 @@ type Cand struct {
 // insertion sort beats the reflection/closure machinery of the generic
 // sorts and allocates nothing.
 func SortCands(c []Cand) {
-	for i := 1; i < len(c); i++ {
-		x := c[i]
-		j := i - 1
-		for j >= 0 && (c[j].D > x.D || (c[j].D == x.D && c[j].D2 > x.D2)) {
-			c[j+1] = c[j]
-			j--
-		}
-		c[j+1] = x
-	}
-}
-
-// PCand is the packed-layout candidate: an int32 PackedRef (leaf slot or
-// ^routing slot) with the same sort keys as Cand. Replacing the copied
-// Entry with a 4-byte ref keeps per-depth candidate buffers within a few
-// cache lines per node.
-type PCand struct {
-	Ref PackedRef
-	D   float64
-	D2  float64
-}
-
-// SortPCands orders packed candidates by ascending (D, D2) with the same
-// insertion sort as SortCands, so both layouts produce identical
-// permutations for identical keys.
-func SortPCands(c []PCand) {
 	for i := 1; i < len(c); i++ {
 		x := c[i]
 		j := i - 1
@@ -83,45 +58,21 @@ func (s *CandStack) Level(depth int) *[]Cand {
 	return &s.levels[depth]
 }
 
-// Reset zeroes retained entries so pooled buffers don't pin points or
-// subtrees of a finished query.
+// Reset rewinds all per-depth buffers. Cands hold no pointers, so there
+// is nothing to zero.
 func (s *CandStack) Reset() {
-	for i := range s.levels {
-		clear(s.levels[i][:cap(s.levels[i])])
-		s.levels[i] = s.levels[i][:0]
-	}
-}
-
-// PCandStack is CandStack for packed candidates. PCands hold no pointers,
-// so Reset only rewinds lengths.
-type PCandStack struct {
-	levels [][]PCand
-}
-
-// Level returns the (emptied) buffer of the given recursion depth.
-func (s *PCandStack) Level(depth int) *[]PCand {
-	for len(s.levels) <= depth {
-		s.levels = append(s.levels, nil)
-	}
-	s.levels[depth] = s.levels[depth][:0]
-	return &s.levels[depth]
-}
-
-// Reset rewinds all per-depth buffers.
-func (s *PCandStack) Reset() {
 	for i := range s.levels {
 		s.levels[i] = s.levels[i][:0]
 	}
 }
 
 // nnScratch is the per-query scratch of NearestDF: the per-depth
-// candidate buffers (one stack per layout) and the bounded result heap,
-// plus the fused-kernel distance buffer of the packed path.
+// candidate buffers, the fused-kernel distance buffer and the bounded
+// result heap.
 type nnScratch struct {
-	cands  CandStack
-	pcands PCandStack
-	dbuf   []float64
-	best   pq.BoundedMax[Neighbor]
+	cands CandStack
+	dbuf  []float64
+	best  pq.BoundedMax[Neighbor]
 }
 
 var nnScratchPool = pq.NewPool(func() *nnScratch { return &nnScratch{} })
@@ -129,7 +80,6 @@ var nnScratchPool = pq.NewPool(func() *nnScratch { return &nnScratch{} })
 // release resets the scratch and returns it to the pool.
 func (s *nnScratch) release() {
 	s.cands.Reset()
-	s.pcands.Reset()
 	if s.best.Len() > 0 {
 		s.best.Reset(1) // zeroes retained payloads; next user re-Resets with its own k
 	}

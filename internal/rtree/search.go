@@ -15,72 +15,32 @@ type Neighbor struct {
 }
 
 // Search invokes fn for every indexed point inside r (boundaries
-// inclusive) in a fresh aggregate-only execution context. Use
-// Reader.Search to charge a per-query tracker.
-func (t *Tree) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
-	t.Reader(nil).Search(r, fn)
-}
-
-// Search invokes fn for every indexed point inside r (boundaries
 // inclusive). Traversal stops early when fn returns false. Visited nodes
 // are charged to the reader's context.
 func (rd Reader) Search(r geom.Rect, fn func(p geom.Point, id int64) bool) {
-	if rd.t.size == 0 {
+	if rd.p.size == 0 {
 		return
 	}
-	if rd.p != nil {
-		rd.searchPacked(rd.PackedRoot(), r, fn)
-		return
-	}
-	rd.searchNode(rd.Root(), r, fn)
+	rd.search(rd.Root(), r, fn)
 }
 
-func (rd Reader) searchNode(nd Node, r geom.Rect, fn func(geom.Point, int64) bool) bool {
-	for _, e := range nd.Entries() {
-		if !e.Rect.Intersects(r) {
-			continue
-		}
-		if e.IsLeafEntry() {
-			if r.ContainsPoint(e.Point) && !fn(e.Point, e.ID) {
+func (rd Reader) search(n int32, r geom.Rect, fn func(geom.Point, int64) bool) bool {
+	p := rd.p
+	s, e := p.start[n], p.end[n]
+	if p.level[n] == 0 {
+		for i := s; i < e; i++ {
+			if r.ContainsPoint(p.pts[i]) && !fn(p.pts[i], p.ids[i]) {
 				return false
 			}
-		} else if !rd.searchNode(rd.Child(e), r, fn) {
+		}
+		return true
+	}
+	for i := s; i < e; i++ {
+		if p.RectIntersects(i, r) && !rd.search(rd.Child(i), r, fn) {
 			return false
 		}
 	}
 	return true
-}
-
-// All invokes fn for every indexed point without charging node accesses
-// (a bookkeeping scan, not a simulated disk traversal).
-func (t *Tree) All(fn func(p geom.Point, id int64) bool) {
-	if t.size == 0 {
-		return
-	}
-	if t.root == nil {
-		t.shellOf.All(fn) // same depth-first slot order as the dynamic scan
-		return
-	}
-	t.allNode(t.root, fn)
-}
-
-func (t *Tree) allNode(n *node, fn func(geom.Point, int64) bool) bool {
-	for _, e := range n.entries {
-		if e.child == nil {
-			if !fn(e.Point, e.ID) {
-				return false
-			}
-		} else if !t.allNode(e.child, fn) {
-			return false
-		}
-	}
-	return true
-}
-
-// NearestDF answers a depth-first k-NN query in a fresh aggregate-only
-// execution context. Use Reader.NearestDF to charge a per-query tracker.
-func (t *Tree) NearestDF(q geom.Point, k int) []Neighbor {
-	return t.Reader(nil).NearestDF(q, k)
 }
 
 // NearestDF returns the k nearest neighbors of q using the depth-first
@@ -89,36 +49,40 @@ func (t *Tree) NearestDF(q geom.Point, k int) []Neighbor {
 // best are pruned. Results are sorted by ascending distance.
 //
 // The traversal works entirely in squared distances (comparisons are
-// order-preserving, so pruning is unaffected) and draws its candidate
-// buffers and result heap from a pooled scratch; only the returned slice
-// is allocated in steady state, with each result paying one Sqrt.
+// order-preserving, so pruning is unaffected): the per-node candidate
+// distances come from one fused pass over the SoA arrays, candidates are
+// int32 refs, and the candidate buffers and result heap come from a
+// pooled scratch; only the returned slice is allocated in steady state,
+// with each result paying one Sqrt.
 func (rd Reader) NearestDF(q geom.Point, k int) []Neighbor {
-	if rd.t.size == 0 || k < 1 {
+	if rd.p.size == 0 || k < 1 {
 		return nil
 	}
 	sc := nnScratchPool.Get()
 	sc.best.Reset(k)
-	if rd.p != nil {
-		rd.nearestDFPacked(rd.PackedRoot(), q, sc, 0)
-	} else {
-		rd.nearestDF(rd.Root(), q, sc, 0)
-	}
+	rd.nearestDF(rd.Root(), q, sc, 0)
 	out := neighborsFromSq(&sc.best)
 	sc.release()
 	return out
 }
 
-func (rd Reader) nearestDF(nd Node, q geom.Point, sc *nnScratch, depth int) {
+func (rd Reader) nearestDF(n int32, q geom.Point, sc *nnScratch, depth int) {
+	p := rd.p
+	s, e := p.start[n], p.end[n]
+	cnt := int(e - s)
+	sc.dbuf = growFloat64(sc.dbuf, cnt)
 	buf := sc.cands.Level(depth)
 	cands := *buf
-	for _, e := range nd.Entries() {
-		var d float64
-		if e.IsLeafEntry() {
-			d = geom.DistSq(q, e.Point)
-		} else {
-			d = geom.MinDistSqPointRect(q, e.Rect)
+	if p.level[n] == 0 {
+		geom.DistSqPointsPoint(p.pc, int(s), int(e), q, sc.dbuf)
+		for i := 0; i < cnt; i++ {
+			cands = append(cands, Cand{Ref: LeafRef(s + int32(i)), D: sc.dbuf[i]})
 		}
-		cands = append(cands, Cand{E: e, D: d})
+	} else {
+		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), q, sc.dbuf)
+		for i := 0; i < cnt; i++ {
+			cands = append(cands, Cand{Ref: NodeRef(s + int32(i)), D: sc.dbuf[i]})
+		}
 	}
 	SortCands(cands)
 	*buf = cands
@@ -127,24 +91,18 @@ func (rd Reader) nearestDF(nd Node, q geom.Point, sc *nnScratch, depth int) {
 		if bd, ok := sc.best.Kth(); ok && c.D >= bd {
 			return // every remaining candidate is at least this far
 		}
-		if c.E.IsLeafEntry() {
-			sc.best.Push(Neighbor{Point: c.E.Point, ID: c.E.ID}, c.D)
+		if slot, leaf := RefSlot(c.Ref); leaf {
+			sc.best.Push(Neighbor{Point: p.pts[slot], ID: p.ids[slot]}, c.D)
 		} else {
-			rd.nearestDF(rd.Child(c.E), q, sc, depth+1)
+			rd.nearestDF(rd.Child(slot), q, sc, depth+1)
 		}
 	}
-}
-
-// NearestBF answers a best-first k-NN query in a fresh aggregate-only
-// execution context. Use Reader.NearestBF to charge a per-query tracker.
-func (t *Tree) NearestBF(q geom.Point, k int) []Neighbor {
-	return t.Reader(nil).NearestBF(q, k)
 }
 
 // NearestBF returns the k nearest neighbors of q using the I/O-optimal
 // best-first algorithm of [HS99].
 func (rd Reader) NearestBF(q geom.Point, k int) []Neighbor {
-	if rd.t.size == 0 || k < 1 {
+	if rd.p.size == 0 || k < 1 {
 		return nil
 	}
 	it := rd.NewNNIterator(q)
@@ -181,47 +139,45 @@ func neighborsFromSq(best *pq.BoundedMax[Neighbor]) []Neighbor {
 //
 // Iterators are drawn from a pool: callers that finish with an iterator
 // before exhausting it should Close it so its heap is recycled; forgetting
-// to Close only costs the reuse, never correctness. The heap is keyed by
-// squared distances, with one Sqrt per emitted neighbor.
+// to Close only costs the reuse, never correctness. The heap holds 4-byte
+// refs keyed by squared distances, with one Sqrt per emitted neighbor.
 type NNIterator struct {
 	rd     Reader
 	q      geom.Point
-	heap   pq.Heap[Entry]
-	ph     pq.Heap[PackedRef] // packed-layout heap: 4-byte refs, fused keys
-	dbuf   []float64          // fused-kernel distance buffer (packed path)
+	heap   pq.Heap[PackedRef]
+	dbuf   []float64 // fused-kernel distance buffer
 	closed bool
 }
 
 var nnIterPool = pq.NewPool(func() *NNIterator { return &NNIterator{} })
-
-// NewNNIterator starts an incremental nearest-neighbor scan around q in a
-// fresh aggregate-only execution context.
-func (t *Tree) NewNNIterator(q geom.Point) *NNIterator {
-	return t.Reader(nil).NewNNIterator(q)
-}
 
 // NewNNIterator starts an incremental nearest-neighbor scan around q.
 func (rd Reader) NewNNIterator(q geom.Point) *NNIterator {
 	it := nnIterPool.Get()
 	it.rd, it.q, it.closed = rd, q, false
 	it.heap.Reset()
-	it.ph.Reset()
-	if rd.t.size > 0 {
-		if rd.p != nil {
-			it.pushNodePacked(rd.PackedRoot())
-		} else {
-			it.pushNode(rd.Root())
-		}
+	if rd.p.size > 0 {
+		it.pushNode(rd.Root())
 	}
 	return it
 }
 
-func (it *NNIterator) pushNode(nd Node) {
-	for _, e := range nd.Entries() {
-		if e.IsLeafEntry() {
-			it.heap.Push(e, geom.DistSq(it.q, e.Point))
-		} else {
-			it.heap.Push(e, geom.MinDistSqPointRect(it.q, e.Rect))
+// pushNode enqueues node n's slots, keyed by the fused squared distances
+// to q.
+func (it *NNIterator) pushNode(n int32) {
+	p := it.rd.p
+	s, e := p.start[n], p.end[n]
+	cnt := int(e - s)
+	it.dbuf = growFloat64(it.dbuf, cnt)
+	if p.level[n] == 0 {
+		geom.DistSqPointsPoint(p.pc, int(s), int(e), it.q, it.dbuf)
+		for i := 0; i < cnt; i++ {
+			it.heap.Push(LeafRef(s+int32(i)), it.dbuf[i])
+		}
+	} else {
+		geom.MinDistSqRectsPoint(p.rlo, p.rhi, int(s), int(e), it.q, it.dbuf)
+		for i := 0; i < cnt; i++ {
+			it.heap.Push(NodeRef(s+int32(i)), it.dbuf[i])
 		}
 	}
 }
@@ -232,22 +188,21 @@ func (it *NNIterator) Next() (Neighbor, bool) {
 	if it.closed {
 		return Neighbor{}, false
 	}
-	if it.rd.p != nil {
-		return it.nextPacked()
-	}
+	p := it.rd.p
 	for {
 		item, ok := it.heap.Pop()
 		if !ok {
 			return Neighbor{}, false
 		}
-		if item.Value.IsLeafEntry() {
+		slot, leaf := RefSlot(item.Value)
+		if leaf {
 			return Neighbor{
-				Point: item.Value.Point,
-				ID:    item.Value.ID,
+				Point: p.pts[slot],
+				ID:    p.ids[slot],
 				Dist:  math.Sqrt(item.Priority),
 			}, true
 		}
-		it.pushNode(it.rd.Child(item.Value))
+		it.pushNode(it.rd.Child(slot))
 	}
 }
 
@@ -257,13 +212,7 @@ func (it *NNIterator) PeekDist() (float64, bool) {
 	if it.closed {
 		return 0, false
 	}
-	var d float64
-	var ok bool
-	if it.rd.p != nil {
-		d, ok = it.ph.MinPriority()
-	} else {
-		d, ok = it.heap.MinPriority()
-	}
+	d, ok := it.heap.MinPriority()
 	if !ok {
 		return 0, false
 	}
@@ -284,6 +233,5 @@ func (it *NNIterator) Close() {
 	it.rd = Reader{}
 	it.q = nil
 	it.heap.Reset()
-	it.ph.Reset()
 	nnIterPool.Put(it)
 }

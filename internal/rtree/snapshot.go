@@ -3,7 +3,6 @@ package rtree
 import (
 	"fmt"
 	"io"
-	"math"
 	"unsafe"
 
 	"gnn/internal/geom"
@@ -20,14 +19,13 @@ func (p *Packed) Snapshot() *snapshot.Tree {
 	for i, pg := range p.page {
 		pages[i] = int64(pg)
 	}
-	t := p.src
 	return &snapshot.Tree{
 		Size:       p.size,
 		Height:     p.height,
-		MaxEntries: t.cfg.MaxEntries,
-		MinEntries: t.cfg.MinEntries,
-		FirstPage:  int64(t.cfg.FirstPage),
-		Pages:      t.Pages(),
+		MaxEntries: p.cfg.MaxEntries,
+		MinEntries: p.cfg.MinEntries,
+		FirstPage:  int64(p.cfg.FirstPage),
+		Pages:      p.pages,
 		Root:       p.root,
 		Level:      p.level,
 		Page:       pages,
@@ -43,16 +41,17 @@ func (p *Packed) Snapshot() *snapshot.Tree {
 
 // ArenaBytes returns the approximate in-memory size of the packed arena's
 // flat arrays (node metadata, routing rectangles, coordinate columns,
-// ids) — the payload a snapshot serialises, excluding the dynamic nodes.
+// ids, point-major point view) — the payload a snapshot serialises, plus
+// the point view every result is emitted from.
 func (p *Packed) ArenaBytes() int64 {
 	nodes := int64(len(p.level))
 	rslots := int64(len(p.child))
 	lslots := int64(len(p.ids))
-	d := int64(p.dim)
+	d := int64(p.cfg.Dim)
 	return nodes*(4+8+4+4) + // level, page, start, end
 		rslots*4 + 2*d*rslots*8 + // child, rlo, rhi
 		d*lslots*8 + lslots*8 + // pc, ids
-		lslots*24 // pts slice headers (coordinates shared with the tree)
+		lslots*24 // pts slice headers (the coordinate slab is counted once, in pc)
 }
 
 // countingWriter tracks bytes written for io.WriterTo bookkeeping.
@@ -73,16 +72,15 @@ func (cw *countingWriter) Write(p []byte) (int, error) {
 // per-tree sections.
 func (p *Packed) WriteTo(w io.Writer) (int64, error) {
 	cw := &countingWriter{w: w}
-	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: p.dim, Points: p.size}
+	m := snapshot.Manifest{Kind: snapshot.KindPlain, Dim: p.cfg.Dim, Points: p.size}
 	err := snapshot.Write(cw, m, []*snapshot.Tree{p.Snapshot()})
 	return cw.n, err
 }
 
 // ReadFrom loads a single-tree snapshot into p, implementing
 // io.ReaderFrom: the receiver (typically zero) is overwritten with the
-// deserialised arena, and p.Tree() returns the reconstructed dynamic
-// tree. The rebuilt index answers every query with bit-identical
-// results, costs and node-access counts to the tree that wrote the
+// deserialised arena, which answers every query with bit-identical
+// results, costs and node-access counts to the arena that wrote the
 // snapshot. A fresh unbuffered Accountant is attached; load through the
 // public layer (gnn.OpenSnapshot) to configure buffering.
 func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
@@ -105,45 +103,22 @@ func (p *Packed) ReadFrom(r io.Reader) (int64, error) {
 	return int64(len(data)), nil
 }
 
-// PackedFromSnapshot reconstructs a packed arena — and the dynamic tree
-// around it — from a decoded snapshot tree. The arena arrays are adopted
-// directly from st (zero rebuild); the dynamic nodes are materialised in
-// one linear pass over the arena so that Insert, Delete and
-// LayoutDynamic queries work on the loaded index exactly as on the
-// writer's. cfg supplies runtime wiring only (Accountant,
-// ReinsertFraction); the structural parameters (dimension, node
-// capacity, page range) come from the snapshot.
+// PackedFromSnapshot reconstructs a packed arena from a decoded snapshot
+// tree. The arena arrays are adopted directly from st (zero rebuild);
+// only the point-major view of the leaf coordinates is gathered. cfg
+// supplies runtime wiring only (Accountant); the structural parameters
+// (dimension, node capacity, page range) come from the snapshot.
 //
 // Page identifiers are preserved node for node and the entry order
-// inside every node is the writer's, so traversals on the loaded index
+// inside every node is the writer's, so traversals on the loaded arena
 // charge the same accesses in the same order: results, Cost and NA are
-// bit-identical for both layouts.
+// bit-identical to the writer's.
 func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error) {
-	cfg.Dim = dim
-	cfg.MaxEntries = st.MaxEntries
-	cfg.MinEntries = st.MinEntries
-	cfg.FirstPage = pagestore.PageID(st.FirstPage)
-	cfg, err := cfg.withDefaults()
+	cfg, err := snapshotConfig(st, dim, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("rtree: snapshot config: %w", err)
+		return nil, err
 	}
-	numNodes := len(st.Level)
-	lslots := len(st.IDs)
-
-	// Leaf points: one coordinate slab in point-major order, gathered from
-	// the snapshot's axis-major columns. The packed arena and the dynamic
-	// leaf entries share these exact slices, as after Tree.Pack.
-	ptSlab := make([]float64, dim*lslots)
-	pts := make([]geom.Point, lslots)
-	for i := 0; i < lslots; i++ {
-		pt := ptSlab[i*dim : (i+1)*dim : (i+1)*dim]
-		for a := 0; a < dim; a++ {
-			pt[a] = st.PointCols[a][i]
-		}
-		pts[i] = pt
-	}
-
-	pages := make([]pagestore.PageID, numNodes)
+	pages := make([]pagestore.PageID, len(st.Level))
 	maxPage := cfg.FirstPage + pagestore.PageID(st.Pages) - 1
 	for i, pg := range st.Page {
 		pages[i] = pagestore.PageID(pg)
@@ -151,18 +126,31 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 			maxPage = pages[i]
 		}
 	}
+	p := adoptArena(st, cfg, pages, int64(maxPage+1-cfg.FirstPage))
+	p.pts = pointView(st.PointCols, dim, len(st.IDs))
+	p.mbr = p.rootMBR()
+	return p, nil
+}
 
-	t := &Tree{
-		cfg:      cfg,
-		size:     st.Size,
-		height:   st.Height,
-		nextPage: maxPage + 1,
+// snapshotConfig applies a snapshot's structural parameters to the
+// caller's runtime configuration.
+func snapshotConfig(st *snapshot.Tree, dim int, cfg Config) (Config, error) {
+	cfg.Dim = dim
+	cfg.MaxEntries = st.MaxEntries
+	cfg.MinEntries = st.MinEntries
+	cfg.FirstPage = pagestore.PageID(st.FirstPage)
+	cfg, err := cfg.withDefaults()
+	if err != nil {
+		return cfg, fmt.Errorf("rtree: snapshot config: %w", err)
 	}
-	t.root = buildNodes(st, dim, pages, pts)
+	return cfg, nil
+}
 
-	p := &Packed{
-		src: t, muts: t.muts, dim: dim, size: st.Size, height: st.Height,
-		acct:  cfg.Accountant,
+// adoptArena wraps st's arrays (and the page column) into an arena
+// without copying them.
+func adoptArena(st *snapshot.Tree, cfg Config, pages []pagestore.PageID, numPages int64) *Packed {
+	return &Packed{
+		cfg: cfg, pages: numPages, size: st.Size, height: st.Height,
 		root:  st.Root,
 		level: st.Level,
 		page:  pages,
@@ -172,19 +160,29 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 		rlo:   st.RectLo,
 		rhi:   st.RectHi,
 		pc:    st.PointCols,
-		pts:   pts,
 		ids:   st.IDs,
 	}
-	return p, nil
+}
+
+// pointView gathers the axis-major leaf columns into one point-major
+// slab: the geom.Point view results are emitted from.
+func pointView(cols [][]float64, dim, n int) []geom.Point {
+	slab := make([]float64, dim*n)
+	pts := make([]geom.Point, n)
+	for i := 0; i < n; i++ {
+		pt := slab[i*dim : (i+1)*dim : (i+1)*dim]
+		for a := 0; a < dim; a++ {
+			pt[a] = cols[a][i]
+		}
+		pts[i] = pt
+	}
+	return pts
 }
 
 // PackedFromSnapshotBorrowed is the zero-copy sibling of
 // PackedFromSnapshot: the arena arrays alias st's slices (which for a
-// mapped open alias the file mapping itself), no dynamic nodes are
-// materialised, and the expensive open work is deferred. The returned
-// arena's Tree() is a metadata shell — immutable (Insert returns
-// rtree.ErrImmutable, Delete reports false) and serving Bounds/All from
-// the arena — so only packed-layout traversals are possible.
+// mapped open alias the file mapping itself) and the expensive open work
+// is deferred.
 //
 // verify runs the caller's deferred validation of st's backing bytes
 // (checksums and structural checks, e.g. snapshot.Adopted.Verify); it is
@@ -197,140 +195,26 @@ func PackedFromSnapshot(st *snapshot.Tree, dim int, cfg Config) (*Packed, error)
 // unmodified until the returned arena is unreachable or closed one
 // layer up.
 func PackedFromSnapshotBorrowed(st *snapshot.Tree, dim int, cfg Config, verify func() error) (*Packed, error) {
-	cfg.Dim = dim
-	cfg.MaxEntries = st.MaxEntries
-	cfg.MinEntries = st.MinEntries
-	cfg.FirstPage = pagestore.PageID(st.FirstPage)
-	cfg, err := cfg.withDefaults()
+	cfg, err := snapshotConfig(st, dim, cfg)
 	if err != nil {
-		return nil, fmt.Errorf("rtree: snapshot config: %w", err)
+		return nil, err
 	}
-
 	// pagestore.PageID is int64 under a different name, so the page
 	// column is adopted in place rather than copied like
-	// PackedFromSnapshot does. nextPage comes from the writer-declared
-	// page range — verify confirms every node page lies inside it.
+	// PackedFromSnapshot does. The page count is the writer-declared
+	// range — verify confirms every node page lies inside it.
 	var pages []pagestore.PageID
 	if len(st.Page) > 0 {
 		pages = unsafe.Slice((*pagestore.PageID)(unsafe.Pointer(unsafe.SliceData(st.Page))), len(st.Page))
 	}
-
-	t := &Tree{
-		cfg:      cfg,
-		size:     st.Size,
-		height:   st.Height,
-		nextPage: cfg.FirstPage + pagestore.PageID(st.Pages),
-	}
-	p := &Packed{
-		src: t, muts: t.muts, dim: dim, size: st.Size, height: st.Height,
-		acct:  cfg.Accountant,
-		root:  st.Root,
-		level: st.Level,
-		page:  pages,
-		start: st.Start,
-		end:   st.End,
-		child: st.Child,
-		rlo:   st.RectLo,
-		rhi:   st.RectHi,
-		pc:    st.PointCols,
-		ids:   st.IDs,
-	}
-	t.shellOf = p
+	p := adoptArena(st, cfg, pages, st.Pages)
 	p.prep = &packedPrep{fn: func() error {
 		if err := verify(); err != nil {
 			return err
 		}
-		// Point-major view of the leaf coordinates, shared by the packed
-		// emit paths and the shell tree's All — the only copied column.
-		lslots := len(st.IDs)
-		ptSlab := make([]float64, dim*lslots)
-		pts := make([]geom.Point, lslots)
-		for i := 0; i < lslots; i++ {
-			pt := ptSlab[i*dim : (i+1)*dim : (i+1)*dim]
-			for a := 0; a < dim; a++ {
-				pt[a] = st.PointCols[a][i]
-			}
-			pts[i] = pt
-		}
-		p.pts = pts
+		p.pts = pointView(st.PointCols, dim, len(st.IDs))
 		p.mbr = p.rootMBR()
 		return nil
 	}}
 	return p, nil
-}
-
-// rootMBR computes the arena root's bounding rectangle (the validated
-// arena makes every slot range in bounds).
-func (p *Packed) rootMBR() geom.Rect {
-	lo := make(geom.Point, p.dim)
-	hi := make(geom.Point, p.dim)
-	s, e := p.start[p.root], p.end[p.root]
-	if s >= e {
-		return geom.Rect{Lo: lo, Hi: hi}
-	}
-	if p.level[p.root] == 0 {
-		for a := 0; a < p.dim; a++ {
-			lo[a], hi[a] = p.pc[a][s], p.pc[a][s]
-			for i := s + 1; i < e; i++ {
-				lo[a] = math.Min(lo[a], p.pc[a][i])
-				hi[a] = math.Max(hi[a], p.pc[a][i])
-			}
-		}
-	} else {
-		for a := 0; a < p.dim; a++ {
-			lo[a], hi[a] = p.rlo[a][s], p.rhi[a][s]
-			for i := s + 1; i < e; i++ {
-				lo[a] = math.Min(lo[a], p.rlo[a][i])
-				hi[a] = math.Max(hi[a], p.rhi[a][i])
-			}
-		}
-	}
-	return geom.Rect{Lo: lo, Hi: hi}
-}
-
-// buildNodes materialises the dynamic node structs from the arena and
-// returns the root. The nodes and their entry/rectangle storage come
-// from per-kind slabs: a handful of large allocations instead of one per
-// node, which keeps cold-start loading fast. Entry slices are
-// capacity-clipped, so a post-load Insert that overflows a node
-// reallocates instead of clobbering its slab neighbour.
-func buildNodes(st *snapshot.Tree, dim int, pages []pagestore.PageID, pts []geom.Point) *node {
-	numNodes := len(st.Level)
-	rslots := len(st.Child)
-	lslots := len(st.IDs)
-
-	nodes := make([]node, numNodes)
-	entrySlab := make([]Entry, rslots+lslots)
-	rectSlab := make([]float64, 2*dim*rslots) // lo+hi corners of every routing rect
-	nextEntry := 0
-
-	for i := 0; i < numNodes; i++ {
-		n := &nodes[i]
-		n.page = pages[i]
-		n.level = int(st.Level[i])
-		s, e := st.Start[i], st.End[i]
-		cnt := int(e - s)
-		ents := entrySlab[nextEntry : nextEntry+cnt : nextEntry+cnt]
-		nextEntry += cnt
-		if n.level == 0 {
-			for j := 0; j < cnt; j++ {
-				slot := s + int32(j)
-				pt := pts[slot]
-				ents[j] = Entry{Rect: geom.Rect{Lo: pt, Hi: pt}, Point: pt, ID: st.IDs[slot]}
-			}
-		} else {
-			for j := 0; j < cnt; j++ {
-				slot := s + int32(j)
-				lo := rectSlab[2*dim*int(slot) : 2*dim*int(slot)+dim : 2*dim*int(slot)+dim]
-				hi := rectSlab[2*dim*int(slot)+dim : 2*dim*int(slot)+2*dim : 2*dim*int(slot)+2*dim]
-				for a := 0; a < dim; a++ {
-					lo[a] = st.RectLo[a][slot]
-					hi[a] = st.RectHi[a][slot]
-				}
-				ents[j] = Entry{Rect: geom.Rect{Lo: lo, Hi: hi}, child: &nodes[st.Child[slot]]}
-			}
-		}
-		n.entries = ents
-	}
-	return &nodes[st.Root]
 }

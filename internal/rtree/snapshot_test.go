@@ -59,9 +59,11 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	}
 
 	// The arena must be identical field for field.
-	if loaded.root != p.root || loaded.dim != p.dim || loaded.size != p.size || loaded.height != p.height {
-		t.Fatalf("scalars differ: %d/%d/%d/%d vs %d/%d/%d/%d",
-			loaded.root, loaded.dim, loaded.size, loaded.height, p.root, p.dim, p.size, p.height)
+	if loaded.root != p.root || loaded.Dim() != p.Dim() || loaded.size != p.size ||
+		loaded.height != p.height || loaded.pages != p.pages {
+		t.Fatalf("scalars differ: %d/%d/%d/%d/%d vs %d/%d/%d/%d/%d",
+			loaded.root, loaded.Dim(), loaded.size, loaded.height, loaded.pages,
+			p.root, p.Dim(), p.size, p.height, p.pages)
 	}
 	for name, pair := range map[string][2]any{
 		"level": {loaded.level, p.level},
@@ -80,46 +82,35 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		}
 	}
 
-	// The rebuilt dynamic tree must be a valid R*-tree with the writer's
-	// shape and paging.
-	lt := loaded.Tree()
-	if err := lt.CheckInvariants(); err != nil {
-		t.Fatalf("loaded tree invariants: %v", err)
+	// The loaded arena must be a valid R-tree with the writer's shape and
+	// paging.
+	if err := loaded.CheckInvariants(); err != nil {
+		t.Fatalf("loaded arena invariants: %v", err)
 	}
-	if lt.Len() != tree.Len() || lt.Height() != tree.Height() || lt.Dim() != tree.Dim() {
-		t.Fatalf("tree shape: %d/%d/%d vs %d/%d/%d",
-			lt.Len(), lt.Height(), lt.Dim(), tree.Len(), tree.Height(), tree.Dim())
-	}
-	if lt.cfg.MaxEntries != tree.cfg.MaxEntries || lt.cfg.MinEntries != tree.cfg.MinEntries {
-		t.Fatalf("capacity: %d/%d vs %d/%d", lt.cfg.MinEntries, lt.cfg.MaxEntries, tree.cfg.MinEntries, tree.cfg.MaxEntries)
-	}
-	if lt.cfg.FirstPage != tree.cfg.FirstPage || lt.nextPage < tree.nextPage {
-		t.Fatalf("pages: first %d next %d vs first %d next %d",
-			lt.cfg.FirstPage, lt.nextPage, tree.cfg.FirstPage, tree.nextPage)
+	if loaded.cfg.MaxEntries != tree.cfg.MaxEntries || loaded.cfg.MinEntries != tree.cfg.MinEntries ||
+		loaded.cfg.FirstPage != tree.cfg.FirstPage {
+		t.Fatalf("config: %d/%d/%d vs %d/%d/%d", loaded.cfg.MinEntries, loaded.cfg.MaxEntries,
+			loaded.cfg.FirstPage, tree.cfg.MinEntries, tree.cfg.MaxEntries, tree.cfg.FirstPage)
 	}
 	wb, ok1 := tree.Bounds()
-	lb, ok2 := lt.Bounds()
+	lb, ok2 := loaded.Bounds()
 	if ok1 != ok2 || !wb.Equal(lb) {
 		t.Fatalf("bounds: %v vs %v", lb, wb)
 	}
-	if !loaded.Valid(lt) {
-		t.Fatal("loaded snapshot not valid for its own tree")
-	}
 
-	// Queries on both layouts of the loaded index must match the writer's
-	// results AND accesses exactly.
+	// Queries on the loaded arena must match the writer's results AND
+	// accesses exactly.
 	rng := rand.New(rand.NewSource(99))
 	for i := 0; i < 30; i++ {
 		q := geom.Point{rng.Float64() * 512, rng.Float64() * 512}
-		var wtk, ptk, dtk pagestore.CostTracker
-		want := tree.Reader(&wtk).NearestBF(q, 5)
-		gotP := ReaderOver(lt, &loaded, &ptk).NearestBF(q, 5)
-		gotD := lt.Reader(&dtk).NearestBF(q, 5)
-		if !reflect.DeepEqual(want, gotP) || !reflect.DeepEqual(want, gotD) {
+		var wtk, ltk pagestore.CostTracker
+		want := p.Reader(&wtk).NearestBF(q, 5)
+		got := loaded.Reader(&ltk).NearestBF(q, 5)
+		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("query %d: results differ", i)
 		}
-		if wtk != ptk || wtk != dtk {
-			t.Fatalf("query %d: cost %+v (writer) vs %+v (packed) vs %+v (dynamic)", i, wtk, ptk, dtk)
+		if wtk != ltk {
+			t.Fatalf("query %d: cost %+v (writer) vs %+v (loaded)", i, wtk, ltk)
 		}
 	}
 
@@ -131,40 +122,5 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
 		t.Fatal("snapshot bytes are not canonical across a load/save cycle")
-	}
-}
-
-// TestLoadedTreeMutable locks the post-load mutation contract: Insert
-// invalidates the adopted snapshot, queries fall back to the dynamic
-// nodes, and Pack restores packed serving.
-func TestLoadedTreeMutable(t *testing.T) {
-	tree := buildMutatedTree(t, 150, 2, 5)
-	var buf bytes.Buffer
-	if _, err := tree.Pack().WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var loaded Packed
-	if _, err := loaded.ReadFrom(&buf); err != nil {
-		t.Fatal(err)
-	}
-	lt := loaded.Tree()
-	for i := 0; i < 100; i++ {
-		p := geom.Point{float64(i) * 3.7, float64(i) * 1.3}
-		if err := lt.Insert(p, int64(1000+i)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if loaded.Valid(lt) {
-		t.Fatal("snapshot still valid after Insert")
-	}
-	if err := lt.CheckInvariants(); err != nil {
-		t.Fatalf("invariants after post-load inserts: %v", err)
-	}
-	if !lt.Delete(geom.Point{3.7, 1.3}, 1001) {
-		t.Fatal("delete of inserted point failed")
-	}
-	p2 := lt.Pack()
-	if !p2.Valid(lt) {
-		t.Fatal("re-pack after mutations not valid")
 	}
 }

@@ -1,28 +1,27 @@
-// Package rtree implements the R*-tree of Beckmann et al. [BKSS90] together
-// with every traversal the paper builds on: range search, depth-first
-// nearest neighbor [RKV95], best-first (incremental) nearest neighbor
-// [HS99] and incremental closest pairs over two trees [HS98, CMTV00].
+// Package rtree implements the R*-tree of Beckmann et al. [BKSS90] as a
+// builder — incremental insertion and deletion, plus STR and Hilbert bulk
+// loading — and the packed arena every query traverses: range search,
+// depth-first nearest neighbor [RKV95], best-first (incremental) nearest
+// neighbor [HS99] and incremental closest pairs over two arenas [HS98,
+// CMTV00].
 //
-// The tree is memory-resident but page-structured: every node carries a
-// page identifier and all query traversals are routed through a per-query
-// Reader execution context, which charges each node access to the query's
-// own pagestore.CostTracker and to the tree's shared pagestore.Accountant —
-// reproducing the paper's node-access (NA) metric, optionally through an
-// LRU buffer, while keeping unlimited concurrent read traversals safe.
+// Tree.Pack turns a built tree into a Packed arena: flat
+// structure-of-arrays node storage that the fused kernels in
+// internal/geom turn into streaming passes over contiguous coordinate
+// arrays. The arena is page-structured: every node keeps the page
+// identifier the builder assigned, and all traversals are routed through
+// a per-query Reader execution context, which charges each node access
+// to the query's own pagestore.CostTracker and to the arena's shared
+// pagestore.Accountant — reproducing the paper's node-access (NA) metric,
+// optionally through an LRU buffer, while keeping unlimited concurrent
+// read traversals safe.
 //
 // Query algorithms outside this package (SPM, MBM, F-MBM in internal/core)
 // drive their own traversals through the exported Reader.Root/Reader.Child
 // accessors, so their node accesses are accounted identically.
-//
-// For read-heavy serving, Tree.Pack snapshots the tree into a Packed
-// arena — flat structure-of-arrays node storage traversed through the
-// same Reader abstraction with identical accounting — which the fused
-// kernels in internal/geom turn into streaming passes over contiguous
-// coordinate arrays.
 package rtree
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"slices"
@@ -60,22 +59,6 @@ type node struct {
 	entries []Entry
 }
 
-// Node is the exported read-only view of a tree node handed to external
-// traversals.
-type Node struct{ n *node }
-
-// IsLeaf reports whether the node is at leaf level.
-func (nd Node) IsLeaf() bool { return nd.n.level == 0 }
-
-// Level returns the node's level, with leaves at level 0.
-func (nd Node) Level() int { return nd.n.level }
-
-// Entries returns the node's entry slice. Callers must not modify it.
-func (nd Node) Entries() []Entry { return nd.n.entries }
-
-// Page returns the node's page identifier.
-func (nd Node) Page() pagestore.PageID { return nd.n.page }
-
 // Config parameterises a tree.
 type Config struct {
 	// Dim is the dimensionality of indexed points (default 2).
@@ -88,8 +71,8 @@ type Config struct {
 	// (default 0.3). Set negative to disable forced reinsertion entirely
 	// (plain R-tree overflow handling).
 	ReinsertFraction float64
-	// Accountant receives one access per node visited by query traversals,
-	// shared by all concurrent readers of the tree. When nil a private
+	// Accountant receives one access per node visited by query traversals
+	// of the packed arena, shared by all its concurrent readers. When nil a private
 	// unbuffered accountant is allocated.
 	Accountant *pagestore.Accountant
 	// FirstPage offsets the page IDs assigned to nodes so several trees
@@ -132,46 +115,17 @@ func (c Config) withDefaults() (Config, error) {
 	return c, nil
 }
 
-// Tree is an R*-tree over d-dimensional points. Read-only queries (all
-// traversals in this package and the drivers built on Reader) are safe for
-// unlimited concurrent callers: each query charges its own CostTracker and
-// the shared Accountant handles contention. Insert and Delete mutate the
-// structure and require external synchronisation, with no readers active.
+// Tree is an R*-tree over d-dimensional points: the builder whose Pack
+// output every query traverses. Insert and Delete mutate the structure
+// and require external synchronisation; Pack copies the current state
+// into an independent immutable arena.
 type Tree struct {
 	cfg      Config
 	root     *node
 	size     int
 	height   int // number of levels; 1 = root is a leaf
 	nextPage pagestore.PageID
-	// muts counts structural mutations (Insert/Delete); a Packed snapshot
-	// records the value at build time and is valid only while it matches.
-	muts uint64
-	// shellOf, when non-nil, marks this tree as the metadata shell of a
-	// borrowed packed arena (PackedFromSnapshotBorrowed): root is nil, no
-	// dynamic nodes exist, the structure is immutable (Insert fails,
-	// Delete reports false), and reads that would walk the dynamic nodes
-	// are served from the arena instead.
-	shellOf *Packed
 }
-
-// ErrImmutable reports a mutation on the shell tree of a borrowed packed
-// arena: the nodes live in a read-only (typically memory-mapped) buffer.
-var ErrImmutable = errors.New("rtree: tree borrows a read-only arena and cannot be mutated; rebuild the index to change the data")
-
-// Mutations returns the tree's structural-mutation counter, used to
-// validate Packed snapshots.
-func (t *Tree) Mutations() uint64 { return t.muts }
-
-// Config returns the tree's effective configuration (defaults applied;
-// for snapshot-loaded trees, the writer's structural parameters). The
-// overlay layer uses it to bulk-load compacted replacements and delta
-// trees with identical geometry.
-func (t *Tree) Config() Config { return t.cfg }
-
-// IsShell reports whether the tree is the immutable metadata shell of a
-// borrowed packed arena: it has no dynamic nodes, so only packed-layout
-// traversals can serve it.
-func (t *Tree) IsShell() bool { return t.root == nil && t.shellOf != nil }
 
 // New returns an empty tree.
 func New(cfg Config) (*Tree, error) {
@@ -201,9 +155,6 @@ func (t *Tree) Height() int { return t.height }
 // Dim returns the tree's dimensionality.
 func (t *Tree) Dim() int { return t.cfg.Dim }
 
-// Accountant returns the shared accountant charged by all traversals.
-func (t *Tree) Accountant() *pagestore.Accountant { return t.cfg.Accountant }
-
 // Pages returns the number of node pages allocated so far.
 func (t *Tree) Pages() int64 { return int64(t.nextPage - t.cfg.FirstPage) }
 
@@ -212,53 +163,7 @@ func (t *Tree) Bounds() (geom.Rect, bool) {
 	if t.size == 0 {
 		return geom.Rect{}, false
 	}
-	if t.root == nil {
-		return t.shellOf.bounds()
-	}
 	return t.nodeMBR(t.root), true
-}
-
-// Reader is a per-query execution context: a read-only view of the tree
-// whose node accesses are charged to one query's CostTracker (may be nil:
-// aggregate-only accounting) as well as the tree's shared Accountant.
-// Create one Reader per query; a Reader itself is a cheap value but must
-// not be shared between goroutines, because the tracker it carries is
-// unsynchronised by design.
-//
-// A Reader traverses either the dynamic nodes (Tree.Reader) or, when it
-// carries a valid Packed snapshot (ReaderOver, Packed.Reader), the flat
-// SoA arena — same pages, same accounting, same results, different memory
-// layout.
-type Reader struct {
-	t  *Tree
-	p  *Packed
-	tk *pagestore.CostTracker
-}
-
-// Reader returns an execution context charging tk (nil for aggregate-only
-// accounting).
-func (t *Tree) Reader(tk *pagestore.CostTracker) Reader { return Reader{t: t, tk: tk} }
-
-// Tree returns the underlying tree.
-func (r Reader) Tree() *Tree { return r.t }
-
-// Cost returns the reader's per-query tracker (nil when aggregate-only).
-func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
-
-// Root returns the root node, charging one node access.
-func (r Reader) Root() Node {
-	r.t.cfg.Accountant.Access(r.t.root.page, r.tk)
-	return Node{r.t.root}
-}
-
-// Child resolves a routing entry to its child node, charging one access.
-// It panics on leaf entries: following a data entry is a logic error.
-func (r Reader) Child(e Entry) Node {
-	if e.child == nil {
-		panic("rtree: Child called on a leaf entry")
-	}
-	r.t.cfg.Accountant.Access(e.child.page, r.tk)
-	return Node{e.child}
 }
 
 func (t *Tree) nodeMBR(n *node) geom.Rect {
@@ -272,9 +177,6 @@ func (t *Tree) nodeMBR(n *node) geom.Rect {
 // Insert adds a point with its identifier. Duplicate points (and duplicate
 // ids) are allowed, matching real spatial data.
 func (t *Tree) Insert(p geom.Point, id int64) error {
-	if t.root == nil {
-		return ErrImmutable
-	}
 	if len(p) != t.cfg.Dim {
 		return fmt.Errorf("rtree: point dimension %d, tree dimension %d", len(p), t.cfg.Dim)
 	}
@@ -282,7 +184,6 @@ func (t *Tree) Insert(p geom.Point, id int64) error {
 	reinserted := make(map[int]bool)
 	t.insertEntry(e, 0, reinserted)
 	t.size++
-	t.muts++
 	return nil
 }
 
@@ -556,7 +457,7 @@ func mbrOf(es []Entry) geom.Rect {
 // false when no matching entry exists. Underflowing nodes are dissolved and
 // their entries reinserted at the same level (condense-tree).
 func (t *Tree) Delete(p geom.Point, id int64) bool {
-	if t.size == 0 || len(p) != t.cfg.Dim || t.root == nil {
+	if t.size == 0 || len(p) != t.cfg.Dim {
 		return false
 	}
 	var path []*node
@@ -566,7 +467,6 @@ func (t *Tree) Delete(p geom.Point, id int64) bool {
 	}
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
-	t.muts++
 
 	// Condense: dissolve underflowing nodes bottom-up, collecting orphans.
 	type orphan struct {

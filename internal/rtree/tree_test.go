@@ -26,6 +26,10 @@ func randPoints(rng *rand.Rand, n int, span float64) []geom.Point {
 	return pts
 }
 
+// rd packs the tree's current state and returns an aggregate-only reader
+// over it: queries always traverse the packed arena.
+func rd(tr *Tree) Reader { return tr.Pack().Reader(nil) }
+
 func insertAll(t *testing.T, tr *Tree, pts []geom.Point) {
 	t.Helper()
 	for i, p := range pts {
@@ -68,13 +72,13 @@ func TestEmptyTree(t *testing.T) {
 	if _, ok := tr.Bounds(); ok {
 		t.Fatal("empty tree has bounds")
 	}
-	if nn := tr.NearestBF(geom.Point{0, 0}, 3); nn != nil {
+	if nn := rd(tr).NearestBF(geom.Point{0, 0}, 3); nn != nil {
 		t.Fatal("NN on empty tree returned results")
 	}
-	if nn := tr.NearestDF(geom.Point{0, 0}, 3); nn != nil {
+	if nn := rd(tr).NearestDF(geom.Point{0, 0}, 3); nn != nil {
 		t.Fatal("DF NN on empty tree returned results")
 	}
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(geom.Point, int64) bool {
+	rd(tr).Search(geom.NewRect(geom.Point{0, 0}, geom.Point{1, 1}), func(geom.Point, int64) bool {
 		t.Fatal("search on empty tree yielded a point")
 		return true
 	})
@@ -112,7 +116,7 @@ func TestInsertGrowAndInvariants(t *testing.T) {
 	// Every inserted point must be findable by an exact-range search.
 	for i, p := range pts[:100] {
 		found := false
-		tr.Search(geom.RectFromPoint(p), func(q geom.Point, id int64) bool {
+		rd(tr).Search(geom.RectFromPoint(p), func(q geom.Point, id int64) bool {
 			if id == int64(i) && q.Equal(p) {
 				found = true
 				return false
@@ -150,7 +154,7 @@ func TestDuplicatePoints(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := 0
-	tr.Search(geom.RectFromPoint(p), func(geom.Point, int64) bool { n++; return true })
+	rd(tr).Search(geom.RectFromPoint(p), func(geom.Point, int64) bool { n++; return true })
 	if n != 50 {
 		t.Fatalf("found %d duplicates, want 50", n)
 	}
@@ -172,7 +176,7 @@ func TestSearchMatchesBruteForce(t *testing.T) {
 			}
 		}
 		got := map[int64]bool{}
-		tr.Search(r, func(_ geom.Point, id int64) bool { got[id] = true; return true })
+		rd(tr).Search(r, func(_ geom.Point, id int64) bool { got[id] = true; return true })
 		if len(got) != len(want) {
 			t.Fatalf("trial %d: got %d, want %d", trial, len(got), len(want))
 		}
@@ -190,7 +194,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	tr := mustTree(t, Config{MaxEntries: 8})
 	insertAll(t, tr, pts)
 	count := 0
-	tr.Search(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}),
+	rd(tr).Search(geom.NewRect(geom.Point{0, 0}, geom.Point{100, 100}),
 		func(geom.Point, int64) bool { count++; return count < 5 })
 	if count != 5 {
 		t.Fatalf("early stop visited %d points", count)
@@ -221,7 +225,7 @@ func TestNearestMatchesBruteForce(t *testing.T) {
 		for _, algo := range []struct {
 			name string
 			run  func(geom.Point, int) []Neighbor
-		}{{"DF", tr.NearestDF}, {"BF", tr.NearestBF}} {
+		}{{"DF", rd(tr).NearestDF}, {"BF", rd(tr).NearestBF}} {
 			got := algo.run(q, k)
 			if len(got) != len(want) {
 				t.Fatalf("%s trial %d: %d results, want %d", algo.name, trial, len(got), len(want))
@@ -248,7 +252,7 @@ func TestNNIteratorFullOrder(t *testing.T) {
 	insertAll(t, tr, pts)
 	q := geom.Point{250, 250}
 	want := bruteKNN(pts, q, len(pts))
-	it := tr.NewNNIterator(q)
+	it := rd(tr).NewNNIterator(q)
 	for i := 0; ; i++ {
 		nb, ok := it.Next()
 		if !ok {
@@ -280,8 +284,8 @@ func TestBFOptimalVsDF(t *testing.T) {
 		q := geom.Point{rng.Float64() * 1000, rng.Float64() * 1000}
 		cDF.Reset()
 		cBF.Reset()
-		trDF.NearestDF(q, 1)
-		trBF.NearestBF(q, 1)
+		rd(trDF).NearestDF(q, 1)
+		rd(trBF).NearestBF(q, 1)
 		naDF += cDF.Physical()
 		naBF += cBF.Physical()
 	}
@@ -372,7 +376,7 @@ func TestMixedInsertDelete(t *testing.T) {
 	// Survivors must all be findable.
 	for _, r := range live {
 		found := false
-		tr.Search(geom.RectFromPoint(r.p), func(_ geom.Point, id int64) bool {
+		rd(tr).Search(geom.RectFromPoint(r.p), func(_ geom.Point, id int64) bool {
 			if id == r.id {
 				found = true
 				return false
@@ -392,7 +396,7 @@ func TestNodeAccessCounting(t *testing.T) {
 	insertAll(t, tr, randPoints(rng, 500, 100))
 	c.Reset()
 	var tk pagestore.CostTracker
-	tr.Reader(&tk).NearestBF(geom.Point{50, 50}, 1)
+	tr.Pack().Reader(&tk).NearestBF(geom.Point{50, 50}, 1)
 	if c.Physical() < int64(tr.Height()) {
 		t.Fatalf("NN accessed %d nodes, below tree height %d", c.Physical(), tr.Height())
 	}
@@ -401,7 +405,7 @@ func TestNodeAccessCounting(t *testing.T) {
 	}
 	got := c.Physical()
 	c.Reset()
-	tr.NearestBF(geom.Point{50, 50}, 1)
+	rd(tr).NearestBF(geom.Point{50, 50}, 1)
 	if c.Physical() != got {
 		t.Fatalf("repeat query cost changed: %d vs %d", c.Physical(), got)
 	}
@@ -413,28 +417,16 @@ func TestLRUBufferReducesPhysicalAccesses(t *testing.T) {
 	tr := mustTree(t, Config{MaxEntries: 8, Accountant: c})
 	insertAll(t, tr, randPoints(rng, 500, 100))
 	c.ResetAll()
-	tr.NearestBF(geom.Point{50, 50}, 1)
+	rd(tr).NearestBF(geom.Point{50, 50}, 1)
 	cold := c.Physical()
 	c.Reset() // keep buffer warm
-	tr.NearestBF(geom.Point{50, 50}, 1)
+	rd(tr).NearestBF(geom.Point{50, 50}, 1)
 	if c.Physical() != 0 {
 		t.Fatalf("warm repeat query paid %d physical reads", c.Physical())
 	}
 	if cold == 0 {
 		t.Fatal("cold query free")
 	}
-}
-
-func TestChildPanicsOnLeafEntry(t *testing.T) {
-	tr := mustTree(t, Config{})
-	tr.Insert(geom.Point{1, 1}, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("Child on leaf entry did not panic")
-		}
-	}()
-	rd := tr.Reader(nil)
-	rd.Child(rd.Root().Entries()[0])
 }
 
 func TestStats(t *testing.T) {
@@ -463,7 +455,7 @@ func TestHigherDimensions(t *testing.T) {
 	}
 	q := geom.Point{0.5, 0.5, 0.5, 0.5}
 	want := bruteKNN(pts, q, 5)
-	got := tr.NearestBF(q, 5)
+	got := rd(tr).NearestBF(q, 5)
 	for i := range got {
 		if !almostEq(got[i].Dist, want[i]) {
 			t.Fatalf("4-D NN rank %d: %v vs %v", i, got[i].Dist, want[i])

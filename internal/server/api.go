@@ -307,7 +307,7 @@ func (s *Server) handleGroupNN(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.served.Add(1)
 	us := uint64(elapsed.Microseconds())
-	s.hist.observe(us)
+	s.hist.Observe(us)
 	s.metrics.observeQuery(epGroupNN, parseAlgoID(strings.ToLower(req.Algo)), us)
 	entry.Outcome = "ok"
 	if s.slow.record(entry) {
@@ -397,7 +397,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.served.Add(1)
 	us := uint64(elapsed.Microseconds())
-	s.hist.observe(us)
+	s.hist.Observe(us)
 	s.metrics.observeQuery(epBatch, parseAlgoID(strings.ToLower(req.Algo)), us)
 	// A batch competes for the slow log as one unit: there is no
 	// per-query explain, so GroupSize reports how many groups it carried.
@@ -516,8 +516,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		resp.Reload.LastError = *msg
 	}
 
-	p := s.hist.percentiles(0.50, 0.99, 0.999)
-	resp.LatencyUS.Mean = s.hist.meanUS()
+	p := s.hist.Percentiles(0.50, 0.99, 0.999)
+	resp.LatencyUS.Mean = s.hist.MeanUS()
 	resp.LatencyUS.P50, resp.LatencyUS.P99, resp.LatencyUS.P999 = p[0], p[1], p[2]
 
 	rt := s.runtime.sample()

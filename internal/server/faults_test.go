@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"gnn"
+	"gnn/internal/telemetry"
 )
 
 // --- fixtures ---------------------------------------------------------
@@ -102,7 +103,7 @@ func (f *fakeIndex) GroupNNExplainContext(ctx context.Context, query []gnn.Point
 		return nil, nil, err
 	}
 	return res, &gnn.QueryExplain{
-		Algorithm: "MBM", Aggregate: "sum", Layout: "packed",
+		Algorithm: "MBM", Aggregate: "sum",
 		K: 1, GroupSize: len(query), Cost: cost,
 		Stages: []gnn.StageTiming{{Name: "query", Shard: -1, DurationUS: 1}},
 	}, nil
@@ -653,11 +654,11 @@ func waitFor(t *testing.T, d time.Duration, cond func() bool) {
 // TestHistogram pins the latency histogram's bucketing and percentile
 // read-out (monotone, ≤2× upper-bound bias).
 func TestHistogram(t *testing.T) {
-	var h histogram
+	var h telemetry.Histogram
 	for _, us := range []uint64{0, 1, 2, 3, 100, 1000, 1000, 1000, 100000} {
-		h.observe(us)
+		h.Observe(us)
 	}
-	p := h.percentiles(0.50, 0.99, 0.999)
+	p := h.Percentiles(0.50, 0.99, 0.999)
 	if p[0] > p[1] || p[1] > p[2] {
 		t.Fatalf("percentiles not monotone: %v", p)
 	}
@@ -668,11 +669,11 @@ func TestHistogram(t *testing.T) {
 	if p[2] != 131072 { // 100000µs → 2^17
 		t.Fatalf("p999 = %d, want 131072", p[2])
 	}
-	if h.meanUS() == 0 {
+	if h.MeanUS() == 0 {
 		t.Fatal("mean lost")
 	}
-	var empty histogram
-	if p := empty.percentiles(0.5); p[0] != 0 {
+	var empty telemetry.Histogram
+	if p := empty.Percentiles(0.5); p[0] != 0 {
 		t.Fatalf("empty histogram p50 = %d", p[0])
 	}
 }

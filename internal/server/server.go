@@ -33,6 +33,7 @@ import (
 
 	"gnn"
 	"gnn/internal/snapshot"
+	"gnn/internal/telemetry"
 )
 
 // Queryable is the serving surface the daemon needs from an index,
@@ -159,7 +160,7 @@ type Server struct {
 	generation atomic.Uint64
 
 	stats statsCounters
-	hist  histogram
+	hist  telemetry.Histogram
 	mux   *http.ServeMux
 
 	// Observability plane, built once by initTelemetry: the Prometheus

@@ -1,6 +1,7 @@
 package shard
 
 import (
+	"gnn/internal/rtree"
 	"runtime"
 	"sync"
 	"time"
@@ -36,8 +37,8 @@ func (e *engine) release() { e.scatters.Done() }
 // fills in its private execution context before running the kernel.
 type scatterTask struct {
 	qs     []geom.Point
-	opt    core.Options // per-shard Cost/Trace/Shared/Packed wired by Search
-	unit   Unit
+	opt    core.Options // per-shard Cost/Trace/Shared wired by Search
+	unit   *rtree.Packed
 	kernel Kernel
 	run    *shardRun
 	timed  bool // record the shard's wall time into run.dur
@@ -74,7 +75,7 @@ func (e *engine) worker(i int) {
 		if t.timed {
 			start = time.Now()
 		}
-		t.run.list, t.run.err = runKernel(t.kernel, t.unit.Tree, t.qs, t.opt)
+		t.run.list, t.run.err = runKernel(t.kernel, t.unit, t.qs, t.opt)
 		if t.timed {
 			t.run.dur = time.Since(start)
 		}
@@ -85,7 +86,7 @@ func (e *engine) worker(i int) {
 // scatter runs one query's per-shard tasks on the pinned workers and
 // waits for all of them. runs[i] receives shard i's result list, error
 // and cost; optFor wires the per-shard options.
-func (e *engine) scatter(qs []geom.Point, runs []shardRun, units []Unit, kernel Kernel, timed bool, optFor func(i int) core.Options) {
+func (e *engine) scatter(qs []geom.Point, runs []shardRun, units []*rtree.Packed, kernel Kernel, timed bool, optFor func(i int) core.Options) {
 	var wg sync.WaitGroup
 	wg.Add(len(units))
 	for i := range units {

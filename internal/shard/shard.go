@@ -9,7 +9,7 @@
 // kernel against every shard — scattered over a small worker pool or
 // sequentially — with three pieces of per-shard state:
 //
-//   - its own rtree.Reader (via core.Options.Packed per shard), so
+//   - its own packed arena, traversed through its own rtree.Reader, so
 //     traversals never contend;
 //   - its own pagestore.CostTracker, summed into the query's tracker at
 //     gather time, so reported cost is exactly the sum of per-shard node
@@ -37,18 +37,11 @@ import (
 	"gnn/internal/rtree"
 )
 
-// Unit is one shard: an independent R-tree over a Hilbert-contiguous
-// slice of the data set, with its immutable packed snapshot.
-type Unit struct {
-	Tree   *rtree.Tree
-	Packed *rtree.Packed
-}
-
 // Set is a Hilbert-partitioned collection of shards built once over a
 // point set. It is immutable after Build, so any number of queries may
 // run against it concurrently.
 type Set struct {
-	units []Unit
+	units []*rtree.Packed
 	dim   int
 	size  int
 
@@ -108,7 +101,7 @@ func (s *Set) Close() {
 // borrowed sets; the public layer calls it on each query entry.
 func (s *Set) Prepare() error {
 	for i := range s.units {
-		if err := s.units[i].Packed.Prepare(); err != nil {
+		if err := s.units[i].Prepare(); err != nil {
 			return err
 		}
 	}
@@ -126,9 +119,9 @@ func Build(cfg rtree.Config, pts []geom.Point, ids []int64, shards int) (*Set, e
 	if err != nil {
 		return nil, err
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: trees[0].Dim(), size: len(pts)}
+	s := &Set{units: make([]*rtree.Packed, len(trees)), dim: trees[0].Dim(), size: len(pts)}
 	for i, t := range trees {
-		s.units[i] = Unit{Tree: t, Packed: t.Pack()}
+		s.units[i] = t.Pack()
 	}
 	return s, nil
 }
@@ -142,8 +135,9 @@ func (s *Set) Len() int { return s.size }
 // Dim returns the dimensionality.
 func (s *Set) Dim() int { return s.dim }
 
-// Shard returns shard i (read-only use; exposed for tests and bounds).
-func (s *Set) Shard(i int) Unit { return s.units[i] }
+// Shard returns shard i's packed arena (read-only use; exposed for tests
+// and bounds).
+func (s *Set) Shard(i int) *rtree.Packed { return s.units[i] }
 
 // CountExact returns the multiplicity of (p, id) across all shards. Like
 // rtree's CountExact it charges nothing — it is the overlay's tombstone
@@ -151,11 +145,7 @@ func (s *Set) Shard(i int) Unit { return s.units[i] }
 func (s *Set) CountExact(p geom.Point, id int64) int {
 	n := 0
 	for _, u := range s.units {
-		if u.Packed != nil {
-			n += u.Packed.CountExact(p, id)
-		} else {
-			n += u.Tree.CountExact(p, id)
-		}
+		n += u.CountExact(p, id)
 	}
 	return n
 }
@@ -165,7 +155,7 @@ func (s *Set) CountExact(p geom.Point, id int64) int {
 func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 	stop := false
 	for _, u := range s.units {
-		u.Tree.All(func(p geom.Point, id int64) bool {
+		u.All(func(p geom.Point, id int64) bool {
 			if !fn(p, id) {
 				stop = true
 				return false
@@ -178,25 +168,18 @@ func (s *Set) All(fn func(p geom.Point, id int64) bool) {
 	}
 }
 
-// Borrowed reports whether the shards borrow their arenas from an
-// external buffer (SetFromSnapshotBorrowed): no dynamic nodes exist, so
-// only packed-layout traversals can serve the set.
-func (s *Set) Borrowed() bool {
-	return len(s.units) > 0 && s.units[0].Tree.IsShell()
-}
-
 // Sizes returns the per-shard point counts.
 func (s *Set) Sizes() []int {
 	out := make([]int, len(s.units))
 	for i, u := range s.units {
-		out[i] = u.Tree.Len()
+		out[i] = u.Len()
 	}
 	return out
 }
 
 // Kernel is a core query entry point (core.MQM, core.SPM, core.MBM,
 // core.BruteForce) run identically against every shard.
-type Kernel func(t *rtree.Tree, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error)
+type Kernel func(p *rtree.Packed, qs []geom.Point, opt core.Options) ([]core.GroupNeighbor, error)
 
 // shardRun is the per-shard slot of one scattered query: its result list,
 // its own cost tracker, and — when the query is traced — its own trace
@@ -223,11 +206,7 @@ type shardRun struct {
 // bound from shard to shard, while workers > 1 run shards concurrently on
 // pooled contexts for latency. The merged result does not depend on
 // workers or timing.
-//
-// usePacked selects the per-shard layout: the packed snapshot (the
-// serving default — a Set's snapshots are always valid because a Set is
-// immutable) or the dynamic nodes (benchmarking, differential tests).
-func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
+func (s *Set) Search(qs []geom.Point, opt core.Options, workers int, kernel Kernel) ([]core.GroupNeighbor, error) {
 	n := len(s.units)
 	k := opt.K
 	if k == 0 {
@@ -258,10 +237,6 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers 
 		if traced {
 			o.Trace = &runs[i].trace
 		}
-		o.Packed = nil
-		if usePacked {
-			o.Packed = s.units[i].Packed
-		}
 		return o
 	}
 	runShard := func(i int, ec *core.ExecContext) {
@@ -271,7 +246,7 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers 
 		if timed {
 			start = time.Now()
 		}
-		runs[i].list, runs[i].err = runKernel(kernel, s.units[i].Tree, qs, o)
+		runs[i].list, runs[i].err = runKernel(kernel, s.units[i], qs, o)
 		if timed {
 			runs[i].dur = time.Since(start)
 		}
@@ -343,13 +318,13 @@ func (s *Set) Search(qs []geom.Point, opt core.Options, usePacked bool, workers 
 // inside a traversal (a corrupt arena that slipped past validation, a bug
 // in a kernel) becomes that shard's error instead of killing the process.
 // The serving layer depends on this to turn kernel panics into 500s.
-func runKernel(kernel Kernel, t *rtree.Tree, qs []geom.Point, o core.Options) (res []core.GroupNeighbor, err error) {
+func runKernel(kernel Kernel, p *rtree.Packed, qs []geom.Point, o core.Options) (res []core.GroupNeighbor, err error) {
 	defer func() {
 		if p := recover(); p != nil {
 			res, err = nil, fmt.Errorf("shard: kernel panic: %v", p)
 		}
 	}()
-	return kernel(t, qs, o)
+	return kernel(p, qs, o)
 }
 
 // execFor returns the caller-supplied context or draws a pooled one;
@@ -387,18 +362,13 @@ type iterHead struct {
 // charges opt.Cost (safe: the merge advances them from the caller's
 // goroutine only), so the iterator's reported cost is exactly the sum of
 // per-shard node accesses. Constructing it reads every shard's root.
-func (s *Set) NewIterator(qs []geom.Point, opt core.Options, usePacked bool) (*Iterator, error) {
+func (s *Set) NewIterator(qs []geom.Point, opt core.Options) (*Iterator, error) {
 	it := &Iterator{
 		its:   make([]core.Stream, len(s.units)),
 		heads: make([]iterHead, len(s.units)),
 	}
 	for i, u := range s.units {
-		o := opt
-		o.Packed = nil
-		if usePacked {
-			o.Packed = u.Packed
-		}
-		sub, err := core.NewGNNIterator(u.Tree, qs, o)
+		sub, err := core.NewGNNIterator(u, qs, opt)
 		if err != nil {
 			it.Close()
 			return nil, err

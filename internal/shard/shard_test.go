@@ -37,13 +37,10 @@ func TestBuildPartition(t *testing.T) {
 		total, min, max := 0, len(pts), 0
 		for i := 0; i < shards; i++ {
 			u := s.Shard(i)
-			if !u.Packed.Valid(u.Tree) {
-				t.Fatalf("shard %d not packed", i)
-			}
-			if err := u.Tree.CheckInvariants(); err != nil {
+			if err := u.CheckInvariants(); err != nil {
 				t.Fatalf("shard %d: %v", i, err)
 			}
-			n := u.Tree.Len()
+			n := u.Len()
 			total += n
 			if n < min {
 				min = n
@@ -51,7 +48,7 @@ func TestBuildPartition(t *testing.T) {
 			if n > max {
 				max = n
 			}
-			u.Tree.All(func(p geom.Point, id int64) bool {
+			u.All(func(p geom.Point, id int64) bool {
 				if seen[id] {
 					t.Fatalf("id %d appears in two shards", id)
 				}
@@ -81,33 +78,27 @@ func TestDisjointPages(t *testing.T) {
 	}
 	seen := map[pagestore.PageID]bool{}
 	for i, tr := range trees {
-		rd := tr.Reader(nil)
-		var walk func(nd rtree.Node)
-		walk = func(nd rtree.Node) {
-			if seen[nd.Page()] {
-				t.Fatalf("tree %d reuses page %d", i, nd.Page())
+		for _, pg := range tr.Pack().Snapshot().Page {
+			if seen[pagestore.PageID(pg)] {
+				t.Fatalf("tree %d reuses page %d", i, pg)
 			}
-			seen[nd.Page()] = true
-			for _, e := range nd.Entries() {
-				if !e.IsLeafEntry() {
-					walk(rd.Child(e))
-				}
-			}
+			seen[pagestore.PageID(pg)] = true
 		}
-		walk(rd.Root())
 	}
 }
 
 // TestSearchMatchesSingleTree runs the same kernels against a sharded set
 // and one monolithic tree and demands identical merged answers, for both
-// scatter widths and both layouts.
+// scatter widths, with and without a region constraint.
 func TestSearchMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	pts := randPts(rng, 2000, 800)
-	single, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 16}, pts, nil)
+	st, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 16}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := st.Pack()
+	region := geom.NewRect(geom.Point{100, 200}, geom.Point{600, 700})
 	set, err := Build(rtree.Config{MaxEntries: 16}, pts, nil, 6)
 	if err != nil {
 		t.Fatal(err)
@@ -115,22 +106,25 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 	kernels := map[string]Kernel{"MBM": core.MBM, "MQM": core.MQM, "SPM": core.SPM, "brute": core.BruteForce}
 	for trial := 0; trial < 8; trial++ {
 		qs := randPts(rng, trial%5+1, 800)
-		opt := core.Options{K: trial%4 + 1}
 		for name, kern := range kernels {
-			want, err := kern(single, qs, opt)
-			if err != nil {
-				t.Fatalf("%s single: %v", name, err)
-			}
-			for _, workers := range []int{1, 4} {
-				for _, packed := range []bool{false, true} {
+			for _, constrained := range []bool{false, true} {
+				opt := core.Options{K: trial%4 + 1}
+				if constrained {
+					opt.Region = &region
+				}
+				want, err := kern(single, qs, opt)
+				if err != nil {
+					t.Fatalf("%s single: %v", name, err)
+				}
+				for _, workers := range []int{1, 4} {
 					var tk pagestore.CostTracker
 					o := opt
 					o.Cost = &tk
-					got, err := set.Search(qs, o, packed, workers, kern)
+					got, err := set.Search(qs, o, workers, kern)
 					if err != nil {
 						t.Fatalf("%s sharded: %v", name, err)
 					}
-					cfg := fmt.Sprintf("%s/workers=%d/packed=%v", name, workers, packed)
+					cfg := fmt.Sprintf("%s/workers=%d/region=%v", name, workers, constrained)
 					if len(got) != len(want) {
 						t.Fatalf("%s: %d results, want %d", cfg, len(got), len(want))
 					}
@@ -153,10 +147,11 @@ func TestSearchMatchesSingleTree(t *testing.T) {
 func TestIteratorMatchesSingleTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := randPts(rng, 600, 400)
-	single, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
+	st, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	single := st.Pack()
 	set, err := Build(rtree.Config{MaxEntries: 8}, pts, nil, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -167,7 +162,7 @@ func TestIteratorMatchesSingleTree(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer ref.Close()
-	it, err := set.NewIterator(qs, core.Options{}, true)
+	it, err := set.NewIterator(qs, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -200,10 +195,11 @@ func TestIteratorMatchesSingleTree(t *testing.T) {
 func TestSharedBoundTruncation(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	pts := randPts(rng, 500, 300)
-	tr, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
+	bt, err := rtree.BulkLoadSTR(rtree.Config{MaxEntries: 8}, pts, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := bt.Pack()
 	qs := randPts(rng, 3, 300)
 	full, err := core.MBM(tr, qs, core.Options{K: 10})
 	if err != nil {

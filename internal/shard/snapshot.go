@@ -21,9 +21,9 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 	var bbox geom.Rect
 	have := false
 	for i, u := range s.units {
-		trees[i] = u.Packed.Snapshot()
-		cuts[i] = int64(u.Tree.Len())
-		if r, ok := u.Tree.Bounds(); ok {
+		trees[i] = u.Snapshot()
+		cuts[i] = int64(u.Len())
+		if r, ok := u.Bounds(); ok {
 			if have {
 				bbox = bbox.Union(r)
 			} else {
@@ -50,8 +50,8 @@ func (s *Set) Snapshot() (snapshot.Manifest, []*snapshot.Tree) {
 }
 
 // SetFromSnapshot reconstructs a shard set from a decoded sharded
-// snapshot: every shard's packed arena is adopted directly and its
-// dynamic tree rebuilt, with the Hilbert partition intact (each shard
+// snapshot: every shard's packed arena is adopted directly, with the
+// Hilbert partition intact (each shard
 // keeps exactly the points, page range and node structure it was written
 // with). All shards share cfg.Accountant (one allocated here when nil),
 // so cost accounting stays exactly additive across the partition, as
@@ -66,13 +66,13 @@ func SetFromSnapshot(m snapshot.Manifest, trees []*snapshot.Tree, cfg rtree.Conf
 	if cfg.Accountant == nil {
 		cfg.Accountant = pagestore.NewAccountant(0)
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points}
+	s := &Set{units: make([]*rtree.Packed, len(trees)), dim: m.Dim, size: m.Points}
 	for i, st := range trees {
 		p, err := rtree.PackedFromSnapshot(st, m.Dim, cfg)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
+		s.units[i] = p
 	}
 	return s, nil
 }
@@ -95,13 +95,13 @@ func SetFromSnapshotBorrowed(m snapshot.Manifest, trees []*snapshot.Tree, cfg rt
 	if cfg.Accountant == nil {
 		cfg.Accountant = pagestore.NewAccountant(0)
 	}
-	s := &Set{units: make([]Unit, len(trees)), dim: m.Dim, size: m.Points}
+	s := &Set{units: make([]*rtree.Packed, len(trees)), dim: m.Dim, size: m.Points}
 	for i, st := range trees {
 		p, err := rtree.PackedFromSnapshotBorrowed(st, m.Dim, cfg, verify)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", i, err)
 		}
-		s.units[i] = Unit{Tree: p.Tree(), Packed: p}
+		s.units[i] = p
 	}
 	return s, nil
 }

@@ -180,7 +180,7 @@ type Manifest struct {
 
 // Tree is the serialisable arena of one packed R-tree: a flat
 // structure-of-arrays mirror of rtree.Packed plus the construction
-// parameters needed to rebuild the dynamic tree around it. Node ids are
+// parameters (node capacities, page range) the arena carries. Node ids are
 // depth-first preorder; node i owns slot range [Start[i], End[i]) of the
 // routing space (internal nodes) or the leaf space (leaves).
 type Tree struct {

@@ -17,10 +17,11 @@
 //
 // Exposition (Registry.WritePrometheus) renders the standard text
 // format: one # HELP / # TYPE header per family followed by its
-// series. Histograms use the same power-of-2 microsecond buckets as
-// the serving layer's latency histogram (NumBuckets cells,
-// BucketUpperUS bounds) and emit cumulative _bucket{le="..."} lines,
-// _sum and _count. Durations are exposed in microseconds — integral
+// series. Histograms use power-of-2 microsecond buckets (NumBuckets
+// cells, BucketUpperUS bounds) and emit cumulative _bucket{le="..."}
+// lines, _sum and _count. The serving layer's /v1/stats percentiles are
+// read from a Histogram too (Percentiles), so both report the same
+// bucket bound for the same observation. Durations are exposed in microseconds — integral
 // bucket bounds, no float rounding — and the metric names carry the
 // _us suffix so the unit is explicit.
 //
@@ -43,8 +44,7 @@ import (
 
 // NumBuckets is the number of histogram buckets. Bucket i covers
 // (BucketUpperUS(i-1), BucketUpperUS(i)] microseconds; the last bucket
-// is the overflow cell. 40 power-of-2 buckets span 1µs..~9min, the
-// same scheme as the serving layer's latency histogram.
+// is the overflow cell. 40 power-of-2 buckets span 1µs..~9min.
 const NumBuckets = 40
 
 // BucketUpperUS returns the inclusive upper bound, in microseconds, of
@@ -122,6 +122,47 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // SumUS returns the sum of all observations in microseconds.
 func (h *Histogram) SumUS() uint64 { return h.sumUS.Load() }
+
+// MeanUS returns the average observation in microseconds (0 when empty).
+func (h *Histogram) MeanUS() float64 {
+	n := h.count.Load()
+	if n == 0 {
+		return 0
+	}
+	return float64(h.sumUS.Load()) / float64(n)
+}
+
+// Percentiles returns the requested quantiles in microseconds, each as
+// the upper bound of the bucket holding that rank — the le bound the
+// exposition counts the observation under: a ≤2× overestimate, stable
+// and monotone, which is the right bias for alerting. Returns zeros when
+// nothing was recorded. The bucket snapshot is not atomic across
+// buckets, so answers are approximate under concurrent recording, which
+// is all a monitoring endpoint needs.
+func (h *Histogram) Percentiles(qs ...float64) []uint64 {
+	var counts [NumBuckets]uint64
+	var total uint64
+	for i := range counts {
+		counts[i] = h.buckets[i].Load()
+		total += counts[i]
+	}
+	out := make([]uint64, len(qs))
+	if total == 0 {
+		return out
+	}
+	for qi, q := range qs {
+		rank := min(uint64(q*float64(total)), total-1)
+		var cum uint64
+		for i, c := range counts {
+			cum += c
+			if cum > rank {
+				out[qi] = BucketUpperUS(i)
+				break
+			}
+		}
+	}
+	return out
+}
 
 // metricKind tags a series with its exposition TYPE.
 type metricKind uint8

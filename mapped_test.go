@@ -366,10 +366,9 @@ func TestMappedCorruption(t *testing.T) {
 }
 
 // TestMappedImmutable: a mapped index keeps its base arena immutable —
-// writes land in the overlay without invalidating the serving state —
-// and the dynamic-layout escape hatches are rejected with
-// ErrMappedDynamic (GCP additionally refuses pending mutations with
-// ErrPendingMutations).
+// writes land in the overlay without disturbing the serving state — and
+// serves every read path, GCP included, on either side of the pair (GCP
+// refuses pending mutations with ErrPendingMutations).
 func TestMappedImmutable(t *testing.T) {
 	_, ix, queries := snapshotFixture(t, 600, 91)
 	dir := t.TempDir()
@@ -384,9 +383,6 @@ func TestMappedImmutable(t *testing.T) {
 	// packed, and queries see the mutation immediately.
 	if err := mx.Insert(gnn.Point{1, 2}, 9001); err != nil {
 		t.Fatalf("Insert on mapped index: %v", err)
-	}
-	if !mx.IsPacked() {
-		t.Fatal("overlay writes must not invalidate the packed layout")
 	}
 	res, err := mx.GroupNN([]gnn.Point{{1, 2}}, gnn.WithK(1))
 	if err != nil {
@@ -416,17 +412,20 @@ func TestMappedImmutable(t *testing.T) {
 		t.Fatalf("query after drained overlay: %v", err)
 	}
 
-	if _, err := mx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("LayoutDynamic on mapped index: %v", err)
+	// GCP pairs the mapped arena with a heap one, in either role.
+	want, err := ix.GroupNNClosestPairs(qix, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := mx.GroupNNClosestPairs(qix, 0); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("GCP on mapped index: %v", err)
+	if got, err := mx.GroupNNClosestPairs(qix, 0); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("GCP on mapped index: %v, %v; want %v", got, err, want)
 	}
-	if _, err := qix.GroupNNClosestPairs(mx, 0); !errors.Is(err, gnn.ErrMappedDynamic) {
+	if _, err := qix.GroupNNClosestPairs(mx, 0); err != nil {
 		t.Fatalf("GCP with mapped query index: %v", err)
 	}
 
-	// Sharded: LayoutDynamic is rejected on a mapped set.
+	// Sharded: a mapped set serves region-constrained queries like the
+	// built one.
 	pts := goldenPoints(300)
 	sx, err := gnn.BuildShardedIndex(pts, nil, 2, gnn.IndexConfig{})
 	if err != nil {
@@ -438,11 +437,13 @@ func TestMappedImmutable(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer smx.Close()
-	if _, err := smx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); !errors.Is(err, gnn.ErrMappedDynamic) {
-		t.Fatalf("LayoutDynamic on mapped sharded index: %v", err)
+	region := gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{500, 500})
+	want, err = sx.GroupNN(queries[0], region, gnn.WithK(3))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := sx.GroupNN(queries[0], gnn.WithLayout(gnn.LayoutDynamic)); err != nil {
-		t.Fatalf("LayoutDynamic on built sharded index must keep working: %v", err)
+	if got, err := smx.GroupNN(queries[0], region, gnn.WithK(3)); err != nil || !reflect.DeepEqual(got, want) {
+		t.Fatalf("region query on mapped sharded index: %v, %v; want %v", got, err, want)
 	}
 }
 

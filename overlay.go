@@ -29,25 +29,13 @@ const deltaFirstPage = pagestore.PageID(1) << 40
 // once and traverse only its fields, so a concurrent writer publishing a
 // successor never perturbs an in-flight traversal.
 type viewState struct {
-	tree   *rtree.Tree   // base tree (dynamic nodes, or shell of a mapped arena)
-	packed *rtree.Packed // packed base arena; nil only while never-packed
-	// frozen marks the base immutable: mutations go through the overlay.
-	// False only for a never-packed index (legacy in-place mutation).
-	frozen bool
+	base *rtree.Packed // immutable packed base arena (heap-built or mapped)
 	// ov is the write overlay; nil when the index has no un-compacted
 	// writes (the fast path: queries run exactly the single-source code
 	// that served before overlays existed).
 	ov *overlayState
 	// seq is the mutation-log length when this view was published.
 	seq uint64
-}
-
-// servingPacked returns the packed base queries should traverse, or nil.
-func (v *viewState) servingPacked() *rtree.Packed {
-	if v.packed.Valid(v.tree) {
-		return v.packed
-	}
-	return nil
 }
 
 // overlaySize is the overlay's footprint for compaction triggering:
@@ -65,8 +53,7 @@ type overlayState struct {
 	pts    []geom.Point // overlay-inserted points, insertion order
 	ids    []int64
 	folded int              // pts[:folded] are indexed by delta; the rest is the pending tail
-	delta  *rtree.Tree      // bulk-loaded mini tree over pts[:folded]; nil while folded == 0
-	deltaP *rtree.Packed    // packed arena of delta
+	delta  *rtree.Packed    // bulk-loaded, packed mini tree over pts[:folded]; nil while folded == 0
 	tombs  *overlay.TombSet // masked base occurrences
 }
 
@@ -81,7 +68,7 @@ func (v *viewState) succ(ov *overlayState) *viewState {
 	if ov.empty() {
 		ov = nil
 	}
-	return &viewState{tree: v.tree, packed: v.packed, frozen: v.frozen, ov: ov, seq: v.seq + 1}
+	return &viewState{base: v.base, ov: ov, seq: v.seq + 1}
 }
 
 // deltaConfig is the base geometry with the delta page range.
@@ -98,19 +85,17 @@ type applier struct {
 	baseCount func(p geom.Point, id int64) int
 }
 
-// foldDelta bulk-loads (and packs) a delta tree over all overlay points.
-// Points and ids are retained, not copied: overlay slices are immutable
-// once published.
-func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Tree, *rtree.Packed, error) {
+// foldDelta bulk-loads and packs a delta tree over all overlay points.
+func (a applier) foldDelta(pts []geom.Point, ids []int64) (*rtree.Packed, error) {
 	t, err := rtree.BulkLoadSTR(a.dcfg, pts, ids)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return t, t.Pack(), nil
+	return t.Pack(), nil
 }
 
-// insert returns the successor overlay for inserting (p, id) over a
-// frozen base. An insert of a tombstoned base point resurrects the base
+// insert returns the successor overlay for inserting (p, id) over an
+// immutable base. An insert of a tombstoned base point resurrects the base
 // occurrence instead of growing the overlay, keeping the live multiset
 // exact. p must already be a caller-owned copy.
 func (a applier) insert(ov *overlayState, p geom.Point, id int64) (*overlayState, error) {
@@ -132,17 +117,17 @@ func (a applier) insert(ov *overlayState, p geom.Point, id int64) (*overlayState
 	nov.pts = append(npts, p)
 	nov.ids = append(nids, id)
 	if len(nov.pts)-nov.folded >= pendFold {
-		delta, deltaP, err := a.foldDelta(nov.pts, nov.ids)
+		delta, err := a.foldDelta(nov.pts, nov.ids)
 		if err != nil {
 			return nil, err
 		}
-		nov.delta, nov.deltaP, nov.folded = delta, deltaP, len(nov.pts)
+		nov.delta, nov.folded = delta, len(nov.pts)
 	}
 	return &nov, nil
 }
 
 // delete returns the successor overlay for deleting one occurrence of
-// (p, id) over a frozen base, and whether a matching live entry existed.
+// (p, id) over an immutable base, and whether a matching live entry existed.
 // Overlay points are removed physically (latest copy first); base
 // occurrences are tombstoned up to their exact multiplicity.
 func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState, bool) {
@@ -158,11 +143,11 @@ func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState
 				// The removed point was in the delta tree: refold over
 				// the surviving points. Failure cannot happen (the
 				// surviving points already bulk-loaded once).
-				delta, deltaP, err := a.foldDelta(nov.pts, nov.ids)
+				delta, err := a.foldDelta(nov.pts, nov.ids)
 				if err != nil {
 					return nil, false
 				}
-				nov.delta, nov.deltaP, nov.folded = delta, deltaP, len(nov.pts)
+				nov.delta, nov.folded = delta, len(nov.pts)
 			} else {
 				nov.folded = ov.folded
 			}
@@ -185,20 +170,13 @@ func (a applier) delete(ov *overlayState, p geom.Point, id int64) (*overlayState
 	return &nov, true
 }
 
-// baseCount returns the multiplicity of (p, id) in the view's base,
-// uncharged (tombstone bookkeeping, not a query).
-func baseCount(v *viewState, p geom.Point, id int64) int {
-	if sp := v.servingPacked(); sp != nil {
-		return sp.CountExact(p, id)
-	}
-	return v.tree.CountExact(p, id)
-}
-
-// applier binds the shared write logic to one plain-index view.
+// applier binds the shared write logic to one plain-index view; base
+// multiplicities are counted uncharged (tombstone bookkeeping, not a
+// query).
 func (ix *Index) applier(v *viewState) applier {
 	return applier{
 		dcfg:      deltaConfig(ix.rcfg),
-		baseCount: func(p geom.Point, id int64) int { return baseCount(v, p, id) },
+		baseCount: v.base.CountExact,
 	}
 }
 
@@ -234,7 +212,7 @@ func removeID(s []int64, i int) []int64 {
 }
 
 // liveBase is the enumerable base a compaction materialises: the plain
-// index's tree or the sharded index's shard set.
+// index's packed base or the sharded index's shard set.
 type liveBase interface {
 	Len() int
 	Dim() int

@@ -78,8 +78,7 @@ type ShardedIndex struct {
 }
 
 // shardedView is one immutable serving version of a ShardedIndex: the
-// sharded twin of viewState. A shard set is always packed, so there is
-// no frozen flag — every ShardedIndex mutates through the overlay.
+// sharded twin of viewState.
 type shardedView struct {
 	set *shard.Set
 	ov  *overlayState
@@ -271,9 +270,8 @@ func (sx *ShardedIndex) ResetCost() { sx.acct.Reset() }
 func (sx *ShardedIndex) ResetCostCold() { sx.acct.ResetAll() }
 
 // CheckInvariants validates every shard's R-tree structure, plus the
-// overlay's delta tree when present. On a mapped index it runs the
-// snapshot's checksum and structural validation instead (there are no
-// dynamic nodes).
+// overlay's delta tree when present. On a mapped index it first runs the
+// snapshot's checksum and structural validation.
 func (sx *ShardedIndex) CheckInvariants() error {
 	if err := sx.acquire(); err != nil {
 		return err
@@ -284,7 +282,7 @@ func (sx *ShardedIndex) CheckInvariants() error {
 	}
 	v := sx.view.Load()
 	for i := 0; i < v.set.NumShards(); i++ {
-		if err := v.set.Shard(i).Tree.CheckInvariants(); err != nil {
+		if err := v.set.Shard(i).CheckInvariants(); err != nil {
 			return fmt.Errorf("shard %d: %w", i, err)
 		}
 	}
@@ -294,29 +292,6 @@ func (sx *ShardedIndex) CheckInvariants() error {
 		}
 	}
 	return nil
-}
-
-// usePackedLayout resolves a layout request for the sharded read path.
-// Shard snapshots are always valid (the set is immutable), so LayoutAuto
-// and LayoutPacked both serve packed and ErrNotPacked cannot occur; the
-// packed/region conflict follows the same demotion rule
-// (queryConfig.effectiveRegion) as the plain Index, and LayoutDynamic is
-// rejected on a mapped open (no dynamic nodes exist).
-func usePackedLayout(v *shardedView, c queryConfig) (bool, error) {
-	switch c.layout {
-	case LayoutDynamic:
-		if v.set.Borrowed() {
-			return false, ErrMappedDynamic
-		}
-		return false, nil
-	case LayoutPacked:
-		if c.effectiveRegion() != nil {
-			return false, ErrPackedRegion
-		}
-		return true, nil
-	default:
-		return true, nil
-	}
 }
 
 // GroupNN answers a GNN query against the sharded index: identical
@@ -356,10 +331,6 @@ func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.Cost
 	}
 	defer sx.release()
 	v := sx.view.Load()
-	usePacked, err := usePackedLayout(v, c)
-	if err != nil {
-		return nil, err
-	}
 	if err := c.cancel.Check(); err != nil {
 		return nil, err // already expired/canceled on arrival
 	}
@@ -383,15 +354,14 @@ func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.Cost
 		workers = defaultWorkers
 	}
 	if c.probe != nil {
-		c.probe.packed = usePacked
 		c.probe.overlay = v.ov != nil
 	}
 	var gs []core.GroupNeighbor
 	if v.ov == nil {
 		// No overlay writes: exactly the old scatter-gather, bit for bit.
-		gs, err = v.set.Search(qs, opt, usePacked, workers, kern)
+		gs, err = v.set.Search(qs, opt, workers, kern)
 	} else {
-		gs, err = shardedOverlayQuery(v, qs, opt, usePacked, workers, kern, c.k)
+		gs, err = shardedOverlayQuery(v, qs, opt, workers, kern, c.k)
 	}
 	if owned {
 		ec.Release()
@@ -407,7 +377,7 @@ func (sx *ShardedIndex) groupNN(query []Point, c queryConfig, tk *pagestore.Cost
 // and the pending tail all share one tightening bound and one cost
 // tracker, and a final k-way merge reassembles the exact answer — the
 // same discipline as the plain index's overlayQuery.
-func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, usePacked bool, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
+func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, workers int, kern shard.Kernel, k int) ([]core.GroupNeighbor, error) {
 	ov := v.ov
 	shared := core.NewSharedBound()
 	lists := make([][]core.GroupNeighbor, 0, 3)
@@ -432,7 +402,7 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	gs, err := v.set.Search(qs, bopt, usePacked, workers, kern)
+	gs, err := v.set.Search(qs, bopt, workers, kern)
 	if err != nil {
 		return nil, err
 	}
@@ -442,10 +412,6 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if ov.delta != nil {
 		dopt := opt
 		dopt.Shared = shared
-		dopt.Packed = nil
-		if usePacked {
-			dopt.Packed = ov.deltaP
-		}
 		gs, err := kern(ov.delta, qs, dopt)
 		if err != nil {
 			return nil, err
@@ -457,7 +423,6 @@ func shardedOverlayQuery(v *shardedView, qs []geom.Point, opt core.Options, useP
 	if pend := ov.pts[ov.folded:]; len(pend) > 0 {
 		sopt := opt
 		sopt.Shared = shared
-		sopt.Packed = nil
 		gs, err := core.ScanPoints(pend, ov.ids[ov.folded:], qs, sopt)
 		if err != nil {
 			return nil, err
@@ -483,11 +448,6 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 		return nil, err
 	}
 	v := sx.view.Load()
-	usePacked, err := usePackedLayout(v, queryConfig{algo: AlgoMBM, layout: c.layout, region: c.region})
-	if err != nil {
-		sx.release()
-		return nil, err
-	}
 	if err := sx.prepare(); err != nil {
 		sx.release()
 		return nil, err
@@ -500,14 +460,14 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 	opt := c.coreOptions()
 	opt.Cost = &out.tk
 	if v.ov == nil {
-		it, err := v.set.NewIterator(qs, opt, usePacked)
+		it, err := v.set.NewIterator(qs, opt)
 		if err != nil {
 			sx.release()
 			return nil, err
 		}
 		out.it = it
 	} else {
-		it, err := shardedOverlayIterator(v, qs, opt, usePacked)
+		it, err := shardedOverlayIterator(v, qs, opt)
 		if err != nil {
 			sx.release()
 			return nil, err
@@ -520,7 +480,7 @@ func (sx *ShardedIndex) GroupNNIterator(query []Point, opts ...QueryOption) (*It
 
 // shardedOverlayIterator merges the base set's lazy shard merge with the
 // overlay sources, mirroring the plain index's overlayIterator.
-func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, usePacked bool) (*shard.Iterator, error) {
+func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options) (*shard.Iterator, error) {
 	ov := v.ov
 	streams := make([]core.Stream, 0, 3)
 	fail := func(err error) (*shard.Iterator, error) {
@@ -534,19 +494,14 @@ func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, u
 	if ov.tombs.Total() > 0 {
 		bopt.Reject = ov.tombs.Rejects
 	}
-	bit, err := v.set.NewIterator(qs, bopt, usePacked)
+	bit, err := v.set.NewIterator(qs, bopt)
 	if err != nil {
 		return fail(err)
 	}
 	streams = append(streams, bit)
 
 	if ov.delta != nil {
-		dopt := opt
-		dopt.Packed = nil
-		if usePacked {
-			dopt.Packed = ov.deltaP
-		}
-		dit, err := core.NewGNNIterator(ov.delta, qs, dopt)
+		dit, err := core.NewGNNIterator(ov.delta, qs, opt)
 		if err != nil {
 			return fail(err)
 		}
@@ -563,19 +518,17 @@ func shardedOverlayIterator(v *shardedView, qs []geom.Point, opt core.Options, u
 	return shard.NewMergedIterator(streams), nil
 }
 
-// Stats reports the sharded index's shape. A ShardedIndex always serves
-// from its packed shards, so Packed is always true; Height is the
-// maximum shard height and Nodes/ArenaBytes sum over the shards.
+// Stats reports the sharded index's shape: Height is the maximum shard
+// height and Nodes/ArenaBytes sum over the shards.
 func (sx *ShardedIndex) Stats() Stats {
 	v := sx.view.Load()
 	s := Stats{
 		Points: sx.Len(),
 		Dim:    sx.Dim(),
-		Packed: true,
 		Shards: sx.NumShards(),
 	}
 	for i := 0; i < v.set.NumShards(); i++ {
-		p := v.set.Shard(i).Packed
+		p := v.set.Shard(i)
 		s.Nodes += p.Nodes()
 		s.ArenaBytes += p.ArenaBytes()
 		if h := p.Height(); h > s.Height {

@@ -150,10 +150,12 @@ func TestShardedEquivalence(t *testing.T) {
 					if algo == gnn.AlgoSPM && agg != gnn.SumDist {
 						continue
 					}
-					for _, layout := range []gnn.Layout{gnn.LayoutPacked, gnn.LayoutDynamic} {
+					for _, constrained := range []bool{false, true} {
 						opts := []gnn.QueryOption{
-							gnn.WithK(k), gnn.WithAlgorithm(algo),
-							gnn.WithAggregate(agg), gnn.WithLayout(layout),
+							gnn.WithK(k), gnn.WithAlgorithm(algo), gnn.WithAggregate(agg),
+						}
+						if constrained {
+							opts = append(opts, gnn.WithRegion(gnn.Point{100, 50}, gnn.Point{700, 650}))
 						}
 						if weights != nil {
 							opts = append(opts, gnn.WithWeights(weights))
@@ -161,7 +163,7 @@ func TestShardedEquivalence(t *testing.T) {
 						if trial%4 == 3 {
 							opts = append(opts, gnn.WithDepthFirst())
 						}
-						name := fmt.Sprintf("S=%d/trial%d/%v/%v/%v/k=%d", shards, trial, algo, agg, layout, k)
+						name := fmt.Sprintf("S=%d/trial%d/%v/%v/region=%v/k=%d", shards, trial, algo, agg, constrained, k)
 						want, _, err := ix.GroupNNWithCost(qs, opts...)
 						if err != nil {
 							t.Fatalf("%s (unsharded): %v", name, err)
@@ -392,9 +394,6 @@ func TestShardedEdgeCases(t *testing.T) {
 	}
 	if _, err := sx.GroupNN(group, gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithAggregate(gnn.MaxDist)); err == nil {
 		t.Fatal("sharded SPM accepted the MAX aggregate")
-	}
-	if _, err := sx.GroupNN(group, gnn.WithLayout(gnn.LayoutPacked), gnn.WithRegion(gnn.Point{0, 0}, gnn.Point{5, 5})); err == nil {
-		t.Fatal("sharded MBM accepted a pinned packed layout with a region")
 	}
 }
 

@@ -74,7 +74,7 @@ func WithEagerVerify() SnapshotOption {
 // atomically loaded view — a consistent point-in-time state. A view with
 // un-compacted overlay writes is compacted transiently into the snapshot
 // (the format holds exactly one packed base); the serving state is not
-// changed. A never-packed index is packed transiently the same way.
+// changed.
 func (ix *Index) WriteSnapshot(w io.Writer) error {
 	// A mapped index must verify its borrowed bytes before re-serialising
 	// them under fresh checksums, or a corrupt mapping would be laundered
@@ -83,17 +83,14 @@ func (ix *Index) WriteSnapshot(w io.Writer) error {
 		return err
 	}
 	v := ix.view.Load()
-	p := v.servingPacked()
-	switch {
-	case v.ov != nil:
-		pts, ids := materializeLive(v.tree, v.ov)
+	p := v.base
+	if v.ov != nil {
+		pts, ids := materializeLive(v.base, v.ov)
 		nt, err := rtree.BulkLoadSTR(ix.rcfg, pts, ids)
 		if err != nil {
 			return err
 		}
 		p = nt.Pack()
-	case p == nil:
-		p = v.tree.Pack()
 	}
 	_, err := p.WriteTo(w)
 	return err
@@ -105,10 +102,9 @@ func (ix *Index) WriteSnapshotFile(path string) error {
 }
 
 // OpenSnapshot loads an index from a snapshot written by WriteSnapshot.
-// The packed arena is adopted directly — no re-bulk-loading — and the
-// dynamic tree is rebuilt around it in one linear pass, so the loaded
-// index serves every algorithm (including LayoutDynamic queries,
-// mutations and re-packing) exactly like the index that wrote it.
+// The packed arena is adopted directly — no re-bulk-loading — so the
+// loaded index serves every algorithm, mutation and compaction exactly
+// like the index that wrote it.
 // Opening a sharded snapshot fails with ErrSnapshotKind; use
 // OpenShardedSnapshot.
 func OpenSnapshot(r io.Reader, opts ...SnapshotOption) (*Index, error) {
@@ -142,7 +138,7 @@ func openSnapshotBytes(data []byte, opts []SnapshotOption) (*Index, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newIndexOver(p.Tree(), p, acct, p.Tree().Config()), nil
+	return newIndexOver(p, acct, p.Config()), nil
 }
 
 // WriteSnapshot serialises the sharded index to w: one arena section
@@ -219,11 +215,11 @@ func openShardedSnapshotBytes(data []byte, opts []SnapshotOption) (*ShardedIndex
 }
 
 // shardedRcfg recovers the build geometry of a snapshot-loaded shard set
-// for compaction rebuilds: shard 0's tree carries the writer's
+// for compaction rebuilds: shard 0's arena carries the writer's
 // dimensions and node capacities; the page range restarts from zero (a
 // rebuild re-partitions, so the old per-shard ranges do not apply).
 func shardedRcfg(set *shard.Set) rtree.Config {
-	cfg := set.Shard(0).Tree.Config()
+	cfg := set.Shard(0).Config()
 	cfg.FirstPage = 0
 	return cfg
 }
@@ -243,10 +239,11 @@ func shardedRcfg(set *shard.Set) rtree.Config {
 // failure surfaces there as ErrSnapshotChecksum, never as a fault);
 // WithEagerVerify moves all of it to the open.
 //
-// The mapped index serves the packed layout only: Insert returns an
-// immutability error, Delete reports false, and WithLayout(LayoutDynamic)
-// or GCP fail with ErrMappedDynamic. Call Close when done to unmap the
-// file; queries after Close fail with ErrSnapshotClosed. On platforms
+// The mapped index serves every query — the memory-resident and
+// disk-resident algorithms, region constraints, iterators and GCP — and
+// accepts writes into the delta overlay like any other index. Call Close
+// when done to unmap the file; queries after Close fail with
+// ErrSnapshotClosed. On platforms
 // without mmap support (or when the mapping cannot be adopted in place)
 // the function transparently degrades to a read-and-copy open that
 // behaves exactly like OpenSnapshotFile.
@@ -282,13 +279,13 @@ func openMappedPlain(mf *mmapfile.File, c snapshotConfig) (*Index, error) {
 			return nil, err
 		}
 		mf.Close()
-		return newIndexOver(p.Tree(), p, acct, p.Tree().Config()), nil
+		return newIndexOver(p, acct, p.Config()), nil
 	}
 	p, err := rtree.PackedFromSnapshotBorrowed(ad.Trees[0], ad.Manifest.Dim, rtree.Config{Accountant: acct}, ad.Verify)
 	if err != nil {
 		return nil, err
 	}
-	ix := newIndexOver(p.Tree(), p, acct, p.Tree().Config())
+	ix := newIndexOver(p, acct, p.Config())
 	ix.mapped = mf
 	if c.eagerVerify {
 		if err := ix.prepare(); err != nil {

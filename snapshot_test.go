@@ -71,7 +71,7 @@ func requireSameAnswer(t *testing.T, label string, wantRes []gnn.Result, wantCos
 
 // TestSnapshotRoundTripEquivalence is the acceptance suite's core: a
 // snapshot-loaded index answers every memory-resident algorithm — across
-// aggregates, k values and both layouts — with bit-identical results,
+// aggregates, k values and region constraints — with bit-identical results,
 // Cost and node-access counts to the index that wrote it.
 func TestSnapshotRoundTripEquivalence(t *testing.T) {
 	_, ix, queries := snapshotFixture(t, 2500, 7)
@@ -95,19 +95,17 @@ func TestSnapshotRoundTripEquivalence(t *testing.T) {
 		{"brute", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoBruteForce)}},
 		{"MBM/region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMBM), gnn.WithRegion(gnn.Point{200, 200}, gnn.Point{900, 900})}},
 		{"MQM/weights", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoMQM), gnn.WithWeights([]float64{3, 1, 2})}},
+		{"SPM/region", []gnn.QueryOption{gnn.WithAlgorithm(gnn.AlgoSPM), gnn.WithRegion(gnn.Point{100, 0}, gnn.Point{700, 800})}},
 	}
-	layouts := []gnn.Layout{gnn.LayoutAuto, gnn.LayoutDynamic, gnn.LayoutPacked}
 	for _, c := range cells {
-		for _, layout := range layouts {
-			for qi, q := range queries {
-				if c.name == "MQM/weights" && len(q) != 3 {
-					continue
-				}
-				opts := append([]gnn.QueryOption{gnn.WithK(1 + qi%5), gnn.WithLayout(layout)}, c.opts...)
-				wr, wc, werr := ix.GroupNNWithCost(q, opts...)
-				lr, lc, lerr := loaded.GroupNNWithCost(q, opts...)
-				requireSameAnswer(t, c.name+"/"+layout.String(), wr, wc, werr, lr, lc, lerr)
+		for qi, q := range queries {
+			if c.name == "MQM/weights" && len(q) != 3 {
+				continue
 			}
+			opts := append([]gnn.QueryOption{gnn.WithK(1 + qi%5)}, c.opts...)
+			wr, wc, werr := ix.GroupNNWithCost(q, opts...)
+			lr, lc, lerr := loaded.GroupNNWithCost(q, opts...)
+			requireSameAnswer(t, c.name, wr, wc, werr, lr, lc, lerr)
 		}
 	}
 
@@ -243,9 +241,10 @@ func TestShardedSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestSnapshotOfUnpackedIndex: an incrementally built (never packed)
-// index snapshots through a transient pack that leaves the serving state
-// untouched, and the loaded twin answers identically.
+// TestSnapshotOfUnpackedIndex: an incrementally built index, whose points
+// all sit in the overlay, snapshots through a transient compaction that
+// leaves the serving state untouched; the loaded twin answers
+// identically, and at identical cost once the writer compacts too.
 func TestSnapshotOfUnpackedIndex(t *testing.T) {
 	ix, err := gnn.NewIndex(gnn.IndexConfig{NodeCapacity: 8})
 	if err != nil {
@@ -257,20 +256,29 @@ func TestSnapshotOfUnpackedIndex(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if ix.IsPacked() {
-		t.Fatal("incremental index unexpectedly packed")
+	if s := ix.Stats(); s.Delta != 600 {
+		t.Fatalf("inserts not in the overlay: %+v", s)
 	}
 	loaded := roundTrip(t, ix)
-	if ix.IsPacked() {
-		t.Fatal("WriteSnapshot must not change the writer's serving state")
+	if s := ix.Stats(); s.Delta != 600 || s.CompactGen != 0 {
+		t.Fatalf("WriteSnapshot must not change the writer's serving state: %+v", s)
 	}
-	if !loaded.IsPacked() {
-		t.Fatal("loaded index should serve packed")
+	if s := loaded.Stats(); s.Delta != 0 || s.Points != 600 {
+		t.Fatalf("loaded index should serve a packed base: %+v", s)
 	}
 	q := []gnn.Point{{10, 20}, {30, 40}, {50, 5}}
-	wr, wc, werr := ix.GroupNNWithCost(q, gnn.WithK(5))
+	wr, err := ix.GroupNN(q, gnn.WithK(5))
+	if err != nil {
+		t.Fatal(err)
+	}
 	lr, lc, lerr := loaded.GroupNNWithCost(q, gnn.WithK(5))
-	requireSameAnswer(t, "unpacked writer", wr, wc, werr, lr, lc, lerr)
+	if lerr != nil {
+		t.Fatal(lerr)
+	}
+	sameResults(t, "overlay writer", wr, lr)
+	ix.Pack()
+	wr, wc, werr := ix.GroupNNWithCost(q, gnn.WithK(5))
+	requireSameAnswer(t, "compacted writer", wr, wc, werr, lr, lc, lerr)
 
 	// And the loaded index stays fully mutable: the same insert on both
 	// sides keeps them exchangeable.
@@ -435,14 +443,14 @@ func TestSnapshotFileHelpers(t *testing.T) {
 func TestStats(t *testing.T) {
 	_, ix, _ := snapshotFixture(t, 800, 8)
 	s := ix.Stats()
-	if s.Points != 800 || s.Dim != 2 || !s.Packed || s.Shards != 0 || s.Height < 2 || s.Nodes < 2 || s.ArenaBytes <= 0 {
+	if s.Points != 800 || s.Dim != 2 || s.Shards != 0 || s.Height < 2 || s.Nodes < 2 || s.ArenaBytes <= 0 {
 		t.Fatalf("packed stats: %+v", s)
 	}
 	if err := ix.Insert(gnn.Point{1, 1}, 9999); err != nil {
 		t.Fatal(err)
 	}
 	s = ix.Stats()
-	if !s.Packed || s.Nodes == 0 || s.Points != 801 || s.Delta != 1 || s.Tombstones != 0 {
+	if s.Nodes == 0 || s.Points != 801 || s.Delta != 1 || s.Tombstones != 0 {
 		t.Fatalf("overlay stats: %+v", s)
 	}
 	if !ix.Delete(gnn.Point{1, 1}, 9999) {
@@ -452,7 +460,7 @@ func TestStats(t *testing.T) {
 		t.Fatalf("drained overlay stats: %+v", s)
 	}
 	ix.Pack()
-	if s = ix.Stats(); !s.Packed {
+	if s = ix.Stats(); s.Nodes < 2 || s.Points != 800 {
 		t.Fatalf("re-packed stats: %+v", s)
 	}
 
@@ -466,7 +474,7 @@ func TestStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	s = sx.Stats()
-	if s.Points != 500 || s.Shards != 4 || !s.Packed || s.Nodes < 4 || s.ArenaBytes <= 0 {
+	if s.Points != 500 || s.Shards != 4 || s.Nodes < 4 || s.ArenaBytes <= 0 {
 		t.Fatalf("sharded stats: %+v", s)
 	}
 }

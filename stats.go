@@ -12,20 +12,14 @@ type Stats struct {
 	Points int
 	// Dim is the point dimensionality.
 	Dim int
-	// Packed reports whether queries are currently served from the packed
-	// SoA arena. Overlay writes do not unset it: the base arena keeps
-	// serving, with the delta sources merged in.
-	Packed bool
 	// Shards is the shard count of a ShardedIndex; 0 for a plain Index.
 	Shards int
 	// Height is the R-tree height in levels (the maximum across shards).
 	Height int
-	// Nodes is the total R-tree node count across the packed arena(s);
-	// 0 when no packed layout is live (the dynamic tree does not keep a
-	// node counter).
+	// Nodes is the total R-tree node count across the packed arena(s).
 	Nodes int
 	// ArenaBytes approximates the in-memory size of the packed arena(s) —
-	// the payload a snapshot serialises; 0 when no packed layout is live.
+	// the payload a snapshot serialises.
 	ArenaBytes int64
 	// Delta is the number of overlay-inserted points not yet folded into
 	// a compacted base (delta tree plus pending tail).
@@ -58,14 +52,11 @@ func (s *Stats) compactStats(gen uint64, ns int64, errp *string) {
 func (ix *Index) Stats() Stats {
 	v := ix.view.Load()
 	s := Stats{
-		Points: ix.Len(),
-		Dim:    ix.Dim(),
-		Height: v.tree.Height(),
-	}
-	if p := v.servingPacked(); p != nil {
-		s.Packed = true
-		s.Nodes = p.Nodes()
-		s.ArenaBytes = p.ArenaBytes()
+		Points:     ix.Len(),
+		Dim:        ix.Dim(),
+		Height:     v.base.Height(),
+		Nodes:      v.base.Nodes(),
+		ArenaBytes: v.base.ArenaBytes(),
 	}
 	if v.ov != nil {
 		s.Delta = len(v.ov.pts)
