@@ -288,15 +288,6 @@ func quickNodeLB(a Aggregate, r geom.Rect, qmbr geom.Rect, n int) float64 {
 	return d // both max_i and min_i of |p qi| are ≥ mindist(r, MBR(Q))
 }
 
-// quickPointLB is quickNodeLB for a data point.
-func quickPointLB(a Aggregate, p geom.Point, qmbr geom.Rect, n int) float64 {
-	d := geom.MinDistPointRect(p, qmbr)
-	if a == Sum {
-		return float64(n) * d
-	}
-	return d
-}
-
 // kbest maintains the k best (smallest-distance) group neighbors found so
 // far, deduplicated by point ID. It is a small sorted slice rather than a
 // heap because the paper's k ≤ 32. When shared is non-nil the accumulator

@@ -176,8 +176,9 @@ func (st *mbmState) df(nd int32, depth int) {
 	for i := range cands {
 		c := cands[i]
 		// Heuristic 2 from the sort key: quickLBFromMindist(√key) equals
-		// the quickNodeLBW/quickPointLBW bound bit for bit, because every
-		// mindist function is defined as the Sqrt of its squared variant.
+		// the bound computed from the scalar mindist bit for bit, because
+		// every mindist function is defined as the Sqrt of its squared
+		// variant.
 		lb := quickLBFromMindist(st.opt.Aggregate, math.Sqrt(c.D), n, st.w)
 		slot, isPoint := rtree.RefSlot(c.Ref)
 		if isPoint {

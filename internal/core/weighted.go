@@ -87,59 +87,10 @@ func aggDistW(a Aggregate, p geom.Point, qs []geom.Point, w *weightCtx) float64 
 	}
 }
 
-// nodeLBW is the heuristic-3 family bound under weights: since
-// |p q_i| ≥ mindist(N, q_i) for p inside N, each term scales by w_i.
-func nodeLBW(a Aggregate, r geom.Rect, qs []geom.Point, w *weightCtx) float64 {
-	if w == nil {
-		return nodeLB(a, r, qs)
-	}
-	switch a {
-	case Max:
-		m := 0.0
-		for i, q := range qs {
-			if d := w.w[i] * geom.MinDistPointRect(q, r); d > m {
-				m = d
-			}
-		}
-		return m
-	case Min:
-		m := math.Inf(1)
-		for i, q := range qs {
-			if d := w.w[i] * geom.MinDistPointRect(q, r); d < m {
-				m = d
-			}
-		}
-		return m
-	default:
-		s := 0.0
-		for i, q := range qs {
-			s += w.w[i] * geom.MinDistPointRect(q, r)
-		}
-		return s
-	}
-}
-
-// quickNodeLBW is the heuristic-2 family bound under weights: every
-// |p q_i| ≥ mindist(N, M), so the weighted sum is ≥ W·mindist, the
-// weighted max ≥ max(w)·mindist and the weighted min ≥ min(w)·mindist.
-func quickNodeLBW(a Aggregate, r geom.Rect, qmbr geom.Rect, n int, w *weightCtx) float64 {
-	if w == nil {
-		return quickNodeLB(a, r, qmbr, n)
-	}
-	d := geom.MinDistRectRect(r, qmbr)
-	switch a {
-	case Max:
-		return d * w.max
-	case Min:
-		return d * w.min
-	default:
-		return d * w.sum
-	}
-}
-
 // quickLBFromMindist folds an already-computed mindist d (point- or
-// rect-to-MBR) into the heuristic-2 family bound, exactly as
-// quickNodeLBW/quickPointLBW would: the depth-first kernels sort on the
+// rect-to-MBR) into the heuristic-2 family bound: every |p q_i| ≥
+// mindist(N, M), so the (weighted) sum is ≥ W·d, the weighted max ≥
+// max(w)·d and the weighted min ≥ min(w)·d. The kernels sort on the
 // squared mindist and derive the bound from that key with a single Sqrt
 // instead of recomputing the mindist.
 func quickLBFromMindist(a Aggregate, d float64, n int, w *weightCtx) float64 {
@@ -149,22 +100,6 @@ func quickLBFromMindist(a Aggregate, d float64, n int, w *weightCtx) float64 {
 		}
 		return d
 	}
-	switch a {
-	case Max:
-		return d * w.max
-	case Min:
-		return d * w.min
-	default:
-		return d * w.sum
-	}
-}
-
-// quickPointLBW is quickNodeLBW for a data point.
-func quickPointLBW(a Aggregate, p geom.Point, qmbr geom.Rect, n int, w *weightCtx) float64 {
-	if w == nil {
-		return quickPointLB(a, p, qmbr, n)
-	}
-	d := geom.MinDistPointRect(p, qmbr)
 	switch a {
 	case Max:
 		return d * w.max
@@ -215,9 +150,10 @@ func combineThresholdsW(a Aggregate, thresholds []float64, w *weightCtx) float64
 // Queries therefore lay the group out once per query as per-axis columns
 // (ExecContext.groupSoA) and the hot loops stream those contiguous
 // arrays. Each term performs exactly the same floating-point operations
-// in the same order as its AoS counterpart in aggDistW/nodeLBW (the 2-D
+// in the same order as its AoS counterpart — aggDistW, or the scalar
+// mindist functions of internal/geom for the node bound — and the 2-D
 // specialisation's dx*dx + dy*dy equals the (0+d0²)+d1² accumulation
-// bit for bit, squares being non-negative), so results, pruning and
+// bit for bit, squares being non-negative, so results, pruning and
 // node-access counts are unchanged.
 
 // aggDistSoA is aggDistW over the SoA group g (g[axis][j]).
@@ -336,7 +272,9 @@ func aggDistSoA(a Aggregate, p geom.Point, g [][]float64, w *weightCtx) float64 
 	}
 }
 
-// nodeLBSoA is nodeLBW (the heuristic-3 family bound) over the SoA group.
+// nodeLBSoA is the heuristic-3 family bound over the SoA group: since
+// |p q_i| ≥ mindist(N, q_i) for p inside N, the (weighted) aggregate of
+// the per-member mindists lower-bounds dist(p,Q).
 func nodeLBSoA(a Aggregate, r geom.Rect, g [][]float64, w *weightCtx) float64 {
 	n := len(g[0])
 	if len(g) == 2 {

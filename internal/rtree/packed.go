@@ -309,9 +309,6 @@ func (p *Packed) Reader(tk *pagestore.CostTracker) Reader {
 // Packed returns the arena this reader traverses.
 func (r Reader) Packed() *Packed { return r.p }
 
-// Cost returns the reader's per-query tracker (nil when aggregate-only).
-func (r Reader) Cost() *pagestore.CostTracker { return r.tk }
-
 // Root returns the root node id, charging one node access.
 func (r Reader) Root() int32 {
 	r.p.cfg.Accountant.Access(r.p.page[r.p.root], r.tk)

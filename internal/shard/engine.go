@@ -1,13 +1,13 @@
 package shard
 
 import (
-	"gnn/internal/rtree"
 	"runtime"
 	"sync"
 	"time"
 
 	"gnn/internal/core"
 	"gnn/internal/geom"
+	"gnn/internal/rtree"
 )
 
 // engine is the shard-per-core scatter executor: one long-lived worker
