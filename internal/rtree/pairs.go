@@ -61,21 +61,22 @@ func NewClosestPairIterator(rp, rq Reader) (*PairIterator, error) {
 	it.heap.Reset()
 	if rp.p.size > 0 && rq.p.size > 0 {
 		np, nq := rp.Root(), rq.Root()
-		it.pushCross(it.slotRefs(&it.pbuf, rp.p, np), it.slotRefs(&it.qbuf, rq.p, nq))
+		it.pushCross(slotRefs(&it.pbuf, rp.p, np), slotRefs(&it.qbuf, rq.p, nq))
 	}
 	return it, nil
 }
 
 // slotRefs fills *buf with the refs of node n's slots.
-func (it *PairIterator) slotRefs(buf *[]PackedRef, p *Packed, n int32) []PackedRef {
+func slotRefs(buf *[]PackedRef, p *Packed, n int32) []PackedRef {
 	refs := (*buf)[:0]
 	s, e := p.NodeRange(n)
+	leaf := p.IsLeaf(n)
 	for i := s; i < e; i++ {
-		if p.IsLeaf(n) {
-			refs = append(refs, LeafRef(i))
-		} else {
-			refs = append(refs, NodeRef(i))
+		r := LeafRef(i)
+		if !leaf {
+			r = NodeRef(i)
 		}
+		refs = append(refs, r)
 	}
 	*buf = refs
 	return refs
@@ -153,9 +154,9 @@ func (it *PairIterator) Next() (Pair, bool) {
 			expandP = it.rp1.Area() >= it.rq1.Area()
 		}
 		if expandP {
-			it.pushCross(it.slotRefs(&it.pbuf, pp, it.rp.Child(ps)), one(&it.qbuf, qr))
+			it.pushCross(slotRefs(&it.pbuf, pp, it.rp.Child(ps)), one(&it.qbuf, qr))
 		} else {
-			it.pushCross(one(&it.pbuf, pr), it.slotRefs(&it.qbuf, qp, it.rq.Child(qs)))
+			it.pushCross(one(&it.pbuf, pr), slotRefs(&it.qbuf, qp, it.rq.Child(qs)))
 		}
 	}
 }

@@ -92,9 +92,9 @@ func TestPackedSnapshotRoundTrip(t *testing.T) {
 		t.Fatalf("config: %d/%d/%d vs %d/%d/%d", loaded.cfg.MinEntries, loaded.cfg.MaxEntries,
 			loaded.cfg.FirstPage, tree.cfg.MinEntries, tree.cfg.MaxEntries, tree.cfg.FirstPage)
 	}
-	wb, ok1 := tree.Bounds()
-	lb, ok2 := loaded.Bounds()
-	if ok1 != ok2 || !wb.Equal(lb) {
+	wb := tree.nodeMBR(tree.root)
+	lb, ok := loaded.Bounds()
+	if !ok || !wb.Equal(lb) {
 		t.Fatalf("bounds: %v vs %v", lb, wb)
 	}
 

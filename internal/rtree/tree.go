@@ -158,14 +158,6 @@ func (t *Tree) Dim() int { return t.cfg.Dim }
 // Pages returns the number of node pages allocated so far.
 func (t *Tree) Pages() int64 { return int64(t.nextPage - t.cfg.FirstPage) }
 
-// Bounds returns the MBR of the indexed points; ok is false when empty.
-func (t *Tree) Bounds() (geom.Rect, bool) {
-	if t.size == 0 {
-		return geom.Rect{}, false
-	}
-	return t.nodeMBR(t.root), true
-}
-
 func (t *Tree) nodeMBR(n *node) geom.Rect {
 	r := n.entries[0].Rect
 	for _, e := range n.entries[1:] {

@@ -69,7 +69,7 @@ func TestEmptyTree(t *testing.T) {
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Fatalf("Len/Height = %d/%d", tr.Len(), tr.Height())
 	}
-	if _, ok := tr.Bounds(); ok {
+	if _, ok := tr.Pack().Bounds(); ok {
 		t.Fatal("empty tree has bounds")
 	}
 	if nn := rd(tr).NearestBF(geom.Point{0, 0}, 3); nn != nil {
